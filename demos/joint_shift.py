@@ -8,7 +8,7 @@ P(x) and P(x + 1) does not, because the second curve's window counts are
 the first curve's counts read one position later.
 """
 
-from curvestats import ScanSpec, curve, joint_histogram, theorem_experiment
+from curvestats import ScanSpec, curve, experiment_thm2, joint_histogram
 from curvestats.ffield import FieldSpec
 from curvestats.polyff import poly, x_poly
 
@@ -23,7 +23,7 @@ diag = sum(jh.cell((a, a)) for a in range(m))
 print(f"independent pair: diagonal mass {diag}/{jh.total} "
       f"= {diag / jh.total:.3f} (uniform would give {1 / m:.3f})")
 
-rep = theorem_experiment("thm2", Cs=pair, spec=spec, m=m, trials=200, seed=3)
+rep = experiment_thm2(pair, spec, m=m, trials=200, seed=3)
 print(f"joint discrepancy {float(rep.discrepancy):.3e}, "
       f"bound {rep.bound:.2f}, model verdict {rep.model_pass}")
 
@@ -33,7 +33,7 @@ jh2 = joint_histogram(shifted, spec, m)
 diag2 = sum(jh2.cell((a, a)) for a in range(m))
 print(f"shifted pair: diagonal mass {diag2}/{jh2.total} = {diag2 / jh2.total:.3f}")
 
-rep2 = theorem_experiment("thm2", Cs=shifted, spec=spec, m=m, trials=200, seed=3)
+rep2 = experiment_thm2(shifted, spec, m=m, trials=200, seed=3)
 print(f"shifted joint discrepancy {float(rep2.discrepancy):.3e}, "
       f"model verdict {rep2.model_pass}")
 print("the model flags the shifted pair; consecutive windows share "

@@ -14,8 +14,8 @@ from curvestats import (
     condition_star,
     condition_star_witness,
     curve,
+    experiment_thm3,
     restricted_window_counts,
-    theorem_experiment,
 )
 from curvestats.ffield import FieldSpec
 from curvestats.polyff import x_poly
@@ -39,9 +39,7 @@ print(f"restricted counts of the first windows: {counts[:10].tolist()}")
 print(f"mean restricted count: {counts.mean():.2f} "
       f"(about I * alpha with alpha = 1/2)")
 
-rep = theorem_experiment(
-    "thm3", C=C, rect=half, spec=spec, m=3, trials=200, seed=19
-)
+rep = experiment_thm3(C, half, spec, m=3, trials=200, seed=19)
 print(f"discrepancy {float(rep.discrepancy):.3e} vs bound {rep.bound:.2f}; "
       f"Bernoulli-step model verdict {rep.model_pass}")
 for c in rep.hypotheses:

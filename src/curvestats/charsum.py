@@ -256,38 +256,7 @@ def census_m(
 ) -> CensusResult:
     """Count i in [0, N] whose r shifted probes i*stride + h_j all land on
     the prescribed character indices v_j, against the main term N / d^r."""
-    p = chi.field.p
-    if P.p != p:
-        raise ValueError("polynomial modulus does not match the character field")
-    offs = _census_validate(chi, stride, offsets, N)
-    v = tuple(int(t) for t in v)
-    if len(v) != len(offs):
-        raise ValueError("target vector length must match the probe count")
-    if any(t < 0 for t in v):
-        raise ValueError("target indices must be nonnegative")
-    if P.degree < 1:
-        raise ValueError("census polynomial must be nonconstant")
-    if not admissible(P, chi.ell):
-        raise HypothesisError("P_admissible", str(P))
-    r = len(offs)
-    d = chi.d
-    regime_ok, detail = _census_regime(p, r, max(P.degree, 1), theorem_mode)
-    count = _match_counts(chi, [P], stride, offs, N, [v])
-    prediction = Fraction(N, d**r)
-    residual = abs(count - prediction)
-    main_bound = (2 * (P.degree * r * (d - 1) + 1) / d**r) * math.sqrt(p) * math.log(p)
-    slack = P.degree * r
-    return CensusResult(
-        count=count,
-        prediction=prediction,
-        residual=float(residual),
-        main_bound=main_bound,
-        slack=float(slack),
-        main_bound_ok=residual <= main_bound + 1e-9,
-        bound_ok=residual <= main_bound + slack + 1e-9,
-        regime_ok=regime_ok,
-        regime_detail=detail,
-    )
+    return _census([P], chi, stride, offsets, N, [v], theorem_mode)
 
 
 def joint_census(
@@ -300,7 +269,11 @@ def joint_census(
     theorem_mode: bool = False,
 ) -> CensusResult:
     """Joint census over k polynomials, main term N / d^(k r)."""
-    polys = list(polys)
+    return _census(list(polys), chi, stride, offsets, N, targets, theorem_mode)
+
+
+def _census(polys, chi: Character, stride: int, offsets, N: int, targets, theorem_mode: bool):
+    """The census over k >= 1 polynomials, one target row each."""
     if not polys:
         raise ValueError("need at least one polynomial")
     p = chi.field.p

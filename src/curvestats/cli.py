@@ -15,6 +15,7 @@ error.  Randomized subcommands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -22,10 +23,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .charsum import census_m, joint_census, shifted_census, weil_check
+from .charsum import joint_census, shifted_census, weil_check
 from .curvewin import (
     Histogram,
-    JointHistogram,
     Rect,
     ScanSpec,
     beta_residue_scan,
@@ -66,6 +66,7 @@ HYPOTHESIS_LABELS = {
     "y_interval_alpha": "y-interval proportion recorded",
     "P_not_complete_power": "P is not a complete power",
     "census_r_regime": "r below log p / log(4 deg)",
+    "model_feasible": "block model within its feasibility guards",
 }
 
 
@@ -92,7 +93,7 @@ def _hist_json(h: Histogram) -> dict:
     return {"m": h.m, "total": h.total, "counts": list(h.counts), "phi": phi}
 
 
-def _joint_json(jh: JointHistogram) -> dict:
+def _joint_json(jh: Histogram) -> dict:
     cells = []
     if jh.total > 0:
         for vec, c in sorted(jh.as_dict().items()):
@@ -283,69 +284,38 @@ def _experiment_json(rep) -> dict:
         "model": _model_json(rep.model),
         "model_pass": rep.model_pass,
     }
-    if rep.histogram is not None:
+    if rep.histogram.k == 1:
         res["histogram"] = _hist_json(rep.histogram)
-    if rep.joint is not None:
-        res["joint_histogram"] = _joint_json(rep.joint)
+    else:
+        res["joint_histogram"] = _joint_json(rep.histogram)
     return res
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_phi(cfg: dict) -> tuple[dict, list]:
+def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
+    """phi, joint and restricted: the thm1, thm2 and thm3 experiments."""
     _require(cfg, ["p", "ell", "m", "poly", "window"])
     _require_seed(cfg)
     fs = _field(cfg)
-    P = _parse_one_poly(cfg, fs.p)
+    polys = _parse_polys(cfg, fs.p) if command == "joint" else [_parse_one_poly(cfg, fs.p)]
     spec = _scan_spec(cfg, fs.p, need_block=True)
-    rep = experiment_thm1(
-        curve(fs, cfg["ell"], P),
-        spec,
-        m=cfg["m"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        blocks=cfg.get("blocks"),
-        threads=cfg["threads"],
-    )
-    return _experiment_json(rep), rep.hypotheses
-
-
-def _cmd_joint(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "m", "poly", "window"])
-    _require_seed(cfg)
-    fs = _field(cfg)
-    polys = _parse_polys(cfg, fs.p)
-    spec = _scan_spec(cfg, fs.p, need_block=True)
-    rep = experiment_thm2(
-        [curve(fs, cfg["ell"], P) for P in polys],
-        spec,
-        m=cfg["m"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        blocks=cfg.get("blocks"),
-        threads=cfg["threads"],
-    )
-    return _experiment_json(rep), rep.hypotheses
-
-
-def _cmd_restricted(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "m", "poly", "window"])
-    _require_seed(cfg)
-    fs = _field(cfg)
-    P = _parse_one_poly(cfg, fs.p)
-    spec = _scan_spec(cfg, fs.p, need_block=True)
-    rect = _rect(cfg, fs.p)
-    rep = experiment_thm3(
-        curve(fs, cfg["ell"], P),
-        rect,
-        spec,
-        m=cfg["m"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        blocks=cfg.get("blocks"),
-        threads=cfg["threads"],
-    )
+    rect = _rect(cfg, fs.p) if command == "restricted" else None
+    Cs = [curve(fs, cfg["ell"], P) for P in polys]
+    opts = {
+        "m": cfg["m"],
+        "trials": cfg["trials"],
+        "seed": cfg["seed"],
+        "blocks": cfg.get("blocks"),
+        "threads": cfg["threads"],
+    }
+    if command == "phi":
+        rep = experiment_thm1(Cs[0], spec, **opts)
+    elif command == "joint":
+        rep = experiment_thm2(Cs, spec, **opts)
+    else:
+        rep = experiment_thm3(Cs[0], rect, spec, **opts)
     return _experiment_json(rep), rep.hypotheses
 
 
@@ -393,8 +363,8 @@ def _cmd_walk(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_prop21(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["part", "ell", "m", "block"])
-    part = cfg["part"]
+    part = cfg.get("part")
+    _require(cfg, ["part", "m", "block"] if part == "c" else ["part", "ell", "m", "block"])
     if part == "a":
         enum = exact_prop21a(cfg["ell"], cfg["m"], cfg["block"])
     elif part == "b":
@@ -466,16 +436,9 @@ def _cmd_census(cfg: dict) -> tuple[dict, list]:
     if isinstance(raw_v, str) or (raw_v and isinstance(raw_v[0], int)):
         raw_v = [raw_v]
     rows = [_parse_int_list(row, "v") for row in raw_v]
-    if len(polys) == 1 and len(rows) == 1:
-        res = census_m(
-            polys[0], chi, stride, offsets, cfg["count_range"], rows[0],
-            theorem_mode=theorem_mode,
-        )
-    else:
-        res = joint_census(
-            polys, chi, stride, offsets, cfg["count_range"], rows,
-            theorem_mode=theorem_mode,
-        )
+    res = joint_census(
+        polys, chi, stride, offsets, cfg["count_range"], rows, theorem_mode=theorem_mode
+    )
     return _census_json(res), []
 
 
@@ -540,9 +503,9 @@ def _cmd_verify(cfg: dict) -> tuple[dict, list]:
 
 
 _COMMANDS = {
-    "phi": _cmd_phi,
-    "joint": _cmd_joint,
-    "restricted": _cmd_restricted,
+    "phi": functools.partial(_cmd_experiment, "phi"),
+    "joint": functools.partial(_cmd_experiment, "joint"),
+    "restricted": functools.partial(_cmd_experiment, "restricted"),
     "beta": _cmd_beta,
     "walk": _cmd_walk,
     "prop21": _cmd_prop21,

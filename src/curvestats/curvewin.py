@@ -18,7 +18,7 @@ and calibrate against the random walk block model.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from .ffield import (
     legendre,
     pow_mod_vec,
 )
+from .parallel import run_indexed
 from .polyff import Poly, admissible, multiplicatively_independent, x_poly
 from .rwalk import (
     ModelSummary,
@@ -70,7 +71,6 @@ __all__ = [
     "experiment_thm1",
     "experiment_thm2",
     "experiment_thm3",
-    "theorem_experiment",
 ]
 
 _JOINT_CELL_LIMIT = 1 << 20
@@ -159,72 +159,40 @@ class Rect:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Exact residue-class tallies mod m."""
+    """Exact tallies over residue vectors in (Z/mZ)^k, dense by cell code
+    sum a_i m^i; k = 1 is the plain residue histogram mod m."""
 
     m: int
     counts: tuple[int, ...]
+    k: int = 1
 
     @property
     def total(self) -> int:
         return sum(self.counts)
 
-    def phi(self, a: int) -> Fraction:
-        if self.total == 0:
-            raise ValueError("empty histogram has no proportions")
-        return Fraction(self.counts[a % self.m], self.total)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if self.m != other.m:
-            raise ValueError("cannot merge histograms with different moduli")
-        return Histogram(self.m, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-
-def residue_histogram(counts: np.ndarray, m: int) -> Histogram:
-    """Histogram of the values mod m."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    values = np.asarray(counts)
-    if values.size == 0:
-        return Histogram(m, (0,) * m)
-    tall = np.bincount(np.mod(values, m).astype(np.int64), minlength=m)
-    return Histogram(m, tuple(int(c) for c in tall))
-
-
-def discrepancy(hist: Histogram) -> Fraction:
-    """Exact squared deviation from uniform, sum_a (phi(a) - 1/m)^2."""
-    if hist.total == 0:
-        raise ValueError("discrepancy of an empty histogram is undefined")
-    unif = Fraction(1, hist.m)
-    return sum(((Fraction(c, hist.total) - unif) ** 2 for c in hist.counts), Fraction(0))
-
-
-@dataclass(frozen=True)
-class JointHistogram:
-    """Dense tallies over residue vectors in (Z/mZ)^k, cell code sum a_i m^i."""
-
-    m: int
-    k: int
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def cell(self, avec) -> int:
-        return self.counts[self._code(avec)]
-
-    def phi(self, avec) -> Fraction:
-        return Fraction(self.cell(avec), self.total)
-
-    def _code(self, avec) -> int:
+    def cell(self, a) -> int:
+        """Tally of residue a (k = 1) or of residue vector a."""
+        avec = (a,) if isinstance(a, numbers.Integral) else tuple(a)
         if len(avec) != self.k:
             raise ValueError("residue vector length must equal k")
         code = 0
-        for a in reversed([a % self.m for a in avec]):
-            code = code * self.m + a
-        return code
+        for x in reversed(avec):
+            code = code * self.m + x % self.m
+        return self.counts[code]
+
+    def phi(self, a) -> Fraction:
+        if self.total == 0:
+            raise ValueError("empty histogram has no proportions")
+        return Fraction(self.cell(a), self.total)
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        if (self.m, self.k) != (other.m, other.k):
+            raise ValueError("cannot merge histograms with different moduli")
+        counts = tuple(a + b for a, b in zip(self.counts, other.counts))
+        return Histogram(self.m, counts, self.k)
 
     def discrepancy(self) -> Fraction:
+        """Exact squared deviation from uniform, sum over cells of (phi - 1/m^k)^2."""
         if self.total == 0:
             raise ValueError("discrepancy of an empty histogram is undefined")
         unif = Fraction(1, self.m**self.k)
@@ -240,6 +208,22 @@ class JointHistogram:
                 q //= self.m
             out[tuple(vec)] = c
         return out
+
+
+# the joint and plain histograms are one type; both names stay importable
+JointHistogram = Histogram
+discrepancy = Histogram.discrepancy
+
+
+def residue_histogram(counts: np.ndarray, m: int) -> Histogram:
+    """Histogram of the values mod m."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    values = np.asarray(counts)
+    if values.size == 0:
+        return Histogram(m, (0,) * m)
+    tall = np.bincount(np.mod(values, m).astype(np.int64), minlength=m)
+    return Histogram(m, tuple(int(c) for c in tall))
 
 
 # ---------------------------------------------------------------- fibers and windows
@@ -286,25 +270,19 @@ def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
 
 
 def _chunked_scan(values_for, spec: ScanSpec, threads: int) -> np.ndarray:
-    """Run a window scan in contiguous chunks; each chunk recomputes its
-    first window and slides thereafter, so the result is chunk-count
-    independent."""
+    """Run a window scan in contiguous chunks, one per thread; each chunk
+    recomputes its first window and slides thereafter, so the result is
+    chunk-count independent."""
     I = spec.window_len
-    if threads <= 1:
-        vals = values_for(spec.x_start + 1, spec.x_start + spec.scan_len - 1 + I)
-        return _counts_from_values(vals, spec.scan_len, I)
     chunks = _scan_chunks(spec.scan_len, threads)
-    parts: list[np.ndarray | None] = [None] * len(chunks)
 
-    def one(i: int):
+    def one(i: int) -> np.ndarray:
         s0, s1 = chunks[i]
-        lo = spec.x_start + s0 + 1
-        hi = spec.x_start + s1 - 1 + I
-        parts[i] = _counts_from_values(values_for(lo, hi), s1 - s0, I)
+        vals = values_for(spec.x_start + s0 + 1, spec.x_start + s1 - 1 + I)
+        return _counts_from_values(vals, s1 - s0, I)
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(one, range(len(chunks))))
-    return np.concatenate(parts)
+    parts = run_indexed(one, len(chunks), threads)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def window_counts(C: Curve, spec: ScanSpec, threads: int = 1) -> np.ndarray:
@@ -323,7 +301,7 @@ def window_counts_direct(C: Curve, spec: ScanSpec) -> np.ndarray:
     )
 
 
-def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> JointHistogram:
+def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
     """Joint residue tallies of the per-curve window counts at a common x0."""
     Cs = list(Cs)
     if not Cs:
@@ -342,7 +320,7 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> JointHistog
         code += np.mod(counts, m) * weight
         weight *= m
     tall = np.bincount(code, minlength=m**k)
-    return JointHistogram(m=m, k=k, counts=tuple(int(c) for c in tall))
+    return Histogram(m, tuple(int(c) for c in tall), k)
 
 
 # ---------------------------------------------------------------- restricted rectangles
@@ -496,8 +474,7 @@ class ExperimentReport:
     kind: str
     params: dict
     hypotheses: list[HypothesisCheck]
-    histogram: Histogram | None
-    joint: JointHistogram | None
+    histogram: Histogram
     discrepancy: Fraction
     bound: float
     bound_pass: bool
@@ -505,17 +482,13 @@ class ExperimentReport:
     model_pass: bool | None
 
 
-def _enforce(checks):
-    for c in checks:
-        if c.fatal and not c.passed:
-            raise HypothesisError(c.name, c.detail)
-
-
 def _geometry_checks(p: int, spec: ScanSpec) -> tuple[int, list[HypothesisCheck]]:
     if spec.block_len is None:
         raise ValueError("theorem experiments need a block length in the scan spec")
     L = spec.block_len
     I = spec.window_len
+    size = spec.scan_len
+    eps = math.log(size) / math.log(p) - 0.5 if size > 1 else -0.5
     checks = [
         HypothesisCheck(
             "window_len_range",
@@ -527,26 +500,70 @@ def _geometry_checks(p: int, spec: ScanSpec) -> tuple[int, list[HypothesisCheck]
             spec.x_start + spec.scan_len + I <= p,
             f"scan reaches x = {spec.x_start + spec.scan_len + I - 1}, p = {p}",
         ),
+        HypothesisCheck(
+            "scan_interval_size",
+            size > math.isqrt(p),
+            f"size = {size}, p^0.5 = {math.isqrt(p)}, epsilon = {eps:.4f}",
+        ),
     ]
     if L < 1:
         raise ValueError("block length must be positive")
     return L, checks
 
 
-def _interval_size_check(name: str, size: int, p: int) -> HypothesisCheck:
-    eps = math.log(size) / math.log(p) - 0.5 if size > 1 else -0.5
-    return HypothesisCheck(
-        name,
-        size > math.isqrt(p),
-        f"size = {size}, p^0.5 = {math.isqrt(p)}, epsilon = {eps:.4f}",
-    )
+def _curve_checks(C: Curve) -> list[HypothesisCheck]:
+    return [
+        HypothesisCheck("p_equiv_1_mod_ell", C.p % C.ell == 1, f"p = {C.p}, ell = {C.ell}"),
+        HypothesisCheck("P_nonconstant", C.P.degree >= 1, f"deg = {C.P.degree}"),
+        HypothesisCheck("P_admissible", admissible(C.P, C.ell), str(C.P)),
+    ]
 
 
-def _regime_check(name: str, L: int, p: int, d: int) -> HypothesisCheck:
+def _regime_check(L: int, p: int, d: int) -> HypothesisCheck:
     # asymptotic block-length regime; informative, never aborts a desk-scale run
     limit = math.log(p) / (2 * math.log(4 * d))
     return HypothesisCheck(
-        name, L < limit, f"L = {L}, log p / (2 log 4d) = {limit:.3f}", fatal=False
+        "block_len_regime", L < limit, f"L = {L}, log p / (2 log 4d) = {limit:.3f}", fatal=False
+    )
+
+
+def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, model):
+    """The pipeline every theorem experiment shares.
+
+    Enforces the fatal hypotheses, histograms the counts (count() returns
+    the Histogram), compares the discrepancy with the explicit bound and
+    calibrates it against model(nblocks).  A model the exact DP cannot
+    build is skipped and recorded as a failed, non-fatal model_feasible
+    hypothesis.
+    """
+    for c in checks:
+        if c.fatal and not c.passed:
+            raise HypothesisError(c.name, c.detail)
+    nblocks = blocks if blocks is not None else max(1, spec.scan_len // spec.block_len - 1)
+    if trials < 1 or nblocks < 1:
+        raise ValueError("model trials and blocks must be positive")
+    hist = count()
+    disc = hist.discrepancy()
+    try:
+        summary = model(nblocks)
+    except ValueError as e:
+        summary = None
+        checks = [*checks, HypothesisCheck("model_feasible", False, str(e), fatal=False)]
+    return ExperimentReport(
+        kind=kind,
+        params={
+            **params,
+            "x_start": spec.x_start, "scan_len": spec.scan_len,
+            "window_len": spec.window_len, "block_len": spec.block_len,
+            "blocks": nblocks, "trials": trials, "seed": seed,
+        },
+        hypotheses=checks,
+        histogram=hist,
+        discrepancy=disc,
+        bound=bound,
+        bound_pass=float(disc) <= bound,
+        model=summary,
+        model_pass=None if summary is None else float(disc) <= summary.q99,
     )
 
 
@@ -563,39 +580,19 @@ def experiment_thm1(
     if m < 1:
         raise ValueError("modulus must be positive")
     p, ell = C.p, C.ell
-    L, checks = _geometry_checks(p, spec)
+    L, geom = _geometry_checks(p, spec)
     checks = [
-        HypothesisCheck("p_equiv_1_mod_ell", p % ell == 1, f"p = {p}, ell = {ell}"),
-        HypothesisCheck("P_nonconstant", C.P.degree >= 1, f"deg = {C.P.degree}"),
-        HypothesisCheck("P_admissible", admissible(C.P, ell), str(C.P)),
+        *_curve_checks(C),
         HypothesisCheck("gcd_m_ell", math.gcd(m, ell) == 1, f"gcd({m}, {ell}) != 1"),
-        *checks,
-        _interval_size_check("scan_interval_size", spec.scan_len, p),
-        _regime_check("block_len_regime", L, p, C.P.degree),
+        *geom,
+        _regime_check(L, p, C.P.degree),
     ]
-    _enforce(checks)
-    counts = window_counts(C, spec, threads=threads)
-    hist = residue_histogram(counts, m)
-    disc = discrepancy(hist)
-    bound = 7 * m**3 * ell**2 / L
-    nblocks = blocks if blocks is not None else max(1, spec.scan_len // L - 1)
-    model = model_reference(ell, m, L, blocks=nblocks, trials=trials, seed=seed, threads=threads)
-    return ExperimentReport(
-        kind="thm1",
-        params={
-            "p": p, "ell": ell, "m": m, "poly": list(C.P.coeffs),
-            "x_start": spec.x_start, "scan_len": spec.scan_len,
-            "window_len": spec.window_len, "block_len": L,
-            "blocks": nblocks, "trials": trials, "seed": seed,
-        },
-        hypotheses=checks,
-        histogram=hist,
-        joint=None,
-        discrepancy=disc,
-        bound=bound,
-        bound_pass=float(disc) <= bound,
-        model=model,
-        model_pass=float(disc) <= model.q99,
+    return _experiment(
+        "thm1", spec, trials, seed, blocks, checks,
+        {"p": p, "ell": ell, "m": m, "poly": list(C.P.coeffs)},
+        lambda: residue_histogram(window_counts(C, spec, threads=threads), m),
+        7 * m**3 * ell**2 / L,
+        lambda nb: model_reference(ell, m, L, nb, trials, seed, threads=threads),
     )
 
 
@@ -637,39 +634,14 @@ def experiment_thm2(
         ),
         HypothesisCheck("gcd_m_ell", math.gcd(m, ell) == 1, f"gcd({m}, {ell}) != 1"),
         *geom,
-        _interval_size_check("scan_interval_size", spec.scan_len, p),
-        _regime_check("block_len_regime", L, p, max(C.P.degree for C in Cs)),
+        _regime_check(L, p, max(C.P.degree for C in Cs)),
     ]
-    _enforce(checks)
-    joint = joint_histogram(Cs, spec, m, threads=threads)
-    disc = joint.discrepancy()
-    bound = 7 * m ** (k + 2) * ell**2 / L
-    nblocks = blocks if blocks is not None else max(1, spec.scan_len // L - 1)
-    model = model_pass = None
-    try:
-        model = model_reference_joint(
-            ell, m, L, k, blocks=nblocks, trials=trials, seed=seed, threads=threads
-        )
-        model_pass = float(disc) <= model.q99
-    except ValueError:
-        pass  # cell or state space too large; bound comparison still reported
-    return ExperimentReport(
-        kind="thm2",
-        params={
-            "p": p, "ell": ell, "m": m, "k": k,
-            "polys": [list(C.P.coeffs) for C in Cs],
-            "x_start": spec.x_start, "scan_len": spec.scan_len,
-            "window_len": spec.window_len, "block_len": L,
-            "blocks": nblocks, "trials": trials, "seed": seed,
-        },
-        hypotheses=checks,
-        histogram=None,
-        joint=joint,
-        discrepancy=disc,
-        bound=bound,
-        bound_pass=float(disc) <= bound,
-        model=model,
-        model_pass=model_pass,
+    return _experiment(
+        "thm2", spec, trials, seed, blocks, checks,
+        {"p": p, "ell": ell, "m": m, "k": k, "polys": [list(C.P.coeffs) for C in Cs]},
+        lambda: joint_histogram(Cs, spec, m, threads=threads),
+        7 * m ** (k + 2) * ell**2 / L,
+        lambda nb: model_reference_joint(ell, m, L, k, nb, trials, seed, threads=threads),
     )
 
 
@@ -686,23 +658,20 @@ def experiment_thm3(
     """Rectangle-restricted scan: discrepancy vs 4 m^4 / L, Bernoulli model."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    p, ell = C.p, C.ell
+    p = C.p
     rect.validate(p)
     L, geom = _geometry_checks(p, spec)
     witness = condition_star_witness(C, rect)
     alpha = Fraction(rect.y_size, p)
     limit = math.log(p) / (2 * math.log(math.log(p))) if p > 15 else float("inf")
     checks = [
-        HypothesisCheck("p_equiv_1_mod_ell", p % ell == 1, f"p = {p}, ell = {ell}"),
-        HypothesisCheck("P_nonconstant", C.P.degree >= 1, f"deg = {C.P.degree}"),
-        HypothesisCheck("P_admissible", admissible(C.P, ell), str(C.P)),
+        *_curve_checks(C),
         HypothesisCheck(
             "condition_star",
             witness is None,
             "" if witness is None else f"x = {witness} has more than one y in the rectangle",
         ),
         *geom,
-        _interval_size_check("scan_interval_size", spec.scan_len, p),
         HypothesisCheck("y_interval_alpha", True, f"alpha = {float(alpha):.6f}", fatal=False),
         HypothesisCheck(
             "block_len_regime_thm3",
@@ -711,40 +680,15 @@ def experiment_thm3(
             fatal=False,
         ),
     ]
-    _enforce(checks)
-    counts = restricted_window_counts(C, rect, spec, threads=threads)
-    hist = residue_histogram(counts, m)
-    disc = discrepancy(hist)
-    bound = 4 * m**4 / L
-    nblocks = blocks if blocks is not None else max(1, spec.scan_len // L - 1)
-    model = model_reference_bernoulli(
-        alpha, m, L, blocks=nblocks, trials=trials, seed=seed, threads=threads
-    )
-    return ExperimentReport(
-        kind="thm3",
-        params={
-            "p": p, "ell": ell, "m": m, "poly": list(C.P.coeffs),
+    return _experiment(
+        "thm3", spec, trials, seed, blocks, checks,
+        {
+            "p": p, "ell": C.ell, "m": m, "poly": list(C.P.coeffs),
             "x_lo": rect.x_lo, "x_hi": rect.x_hi,
             "y_lo": rect.y_lo, "y_hi": rect.y_hi,
             "alpha": float(alpha),
-            "x_start": spec.x_start, "scan_len": spec.scan_len,
-            "window_len": spec.window_len, "block_len": L,
-            "blocks": nblocks, "trials": trials, "seed": seed,
         },
-        hypotheses=checks,
-        histogram=hist,
-        joint=None,
-        discrepancy=disc,
-        bound=bound,
-        bound_pass=float(disc) <= bound,
-        model=model,
-        model_pass=float(disc) <= model.q99,
+        lambda: residue_histogram(restricted_window_counts(C, rect, spec, threads=threads), m),
+        4 * m**4 / L,
+        lambda nb: model_reference_bernoulli(alpha, m, L, nb, trials, seed, threads=threads),
     )
-
-
-def theorem_experiment(kind: str, **kwargs) -> ExperimentReport:
-    """Dispatch to the thm1/thm2/thm3 experiment driver."""
-    drivers = {"thm1": experiment_thm1, "thm2": experiment_thm2, "thm3": experiment_thm3}
-    if kind not in drivers:
-        raise ValueError(f"unknown experiment kind '{kind}'")
-    return drivers[kind](**kwargs)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import HypothesisError
+from .parallel import run_indexed
 
 __all__ = [
     "WalkConfig",
@@ -108,18 +108,12 @@ class SimulationResult:
 
 def simulate_phi(cfg: WalkConfig, threads: int = 1) -> SimulationResult:
     cfg.validate()
-    phis = np.empty((cfg.trials, cfg.m), dtype=np.float64)
 
-    def one(t: int):
+    def one(t: int) -> np.ndarray:
         z = np.cumsum(walk_steps(cfg, t)) % cfg.m
-        phis[t] = np.bincount(z, minlength=cfg.m) / cfg.L
+        return np.bincount(z, minlength=cfg.m) / cfg.L
 
-    if threads <= 1:
-        for t in range(cfg.trials):
-            one(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(one, range(cfg.trials)))
+    phis = np.array(run_indexed(one, cfg.trials, threads), dtype=np.float64)
     mean = phis.mean(axis=0)
     if cfg.trials > 1:
         stderr = phis.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
@@ -334,22 +328,15 @@ def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary
         raise ValueError("blocks, trials, L, m must all be positive")
     types, probs = _block_type_distribution(steps, m, k, L)
     probs = probs / probs.sum()
-    discs = np.empty(trials, dtype=np.float64)
     denom = float(blocks * L)
     target = 1.0 / m**k
 
-    def one(t: int):
+    def one(t: int) -> float:
         n = trial_rng(seed, t).multinomial(blocks, probs)
-        hist = n @ types
-        phi = hist / denom
-        discs[t] = float(((phi - target) ** 2).sum())
+        phi = (n @ types) / denom
+        return float(((phi - target) ** 2).sum())
 
-    if threads <= 1:
-        for t in range(trials):
-            one(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(one, range(trials)))
+    discs = np.array(run_indexed(one, trials, threads), dtype=np.float64)
     q50, q95, q99 = np.quantile(discs, [0.5, 0.95, 0.99])
     return ModelSummary(
         q50=float(q50), q95=float(q95), q99=float(q99),

@@ -132,7 +132,54 @@ def test_verify_subset(capsys):
     assert payload["report"]["results"]["all_passed"] is True
 
 
+def test_prop21_part_c_needs_no_ell(capsys):
+    code, payload, _ = run_json(capsys, ["prop21", "--part", "c", "--m", "3", "--block", "4"])
+    assert code == 0
+    assert payload["report"]["results"]["passed"] is True
+
+
+# every case exceeds the block model's m^k <= 4096 cell guard
+INFEASIBLE_MODEL = {
+    "phi": ["--m", "4099", "--poly", "1,1,0,1"],
+    "joint": ["--m", "17", "--poly", "0,1", "--poly", "1,0,1", "--poly", "3,1"],
+}
+EXPERIMENT_ARGS = [
+    "--p", "10007", "--ell", "2", "--window", "100", "--block", "5",
+    "--trials", "20", "--seed", "7",
+]
+
+
+@pytest.mark.parametrize("command", list(INFEASIBLE_MODEL))
+def test_infeasible_model_is_a_named_nonfatal_skip(command, capsys):
+    code, payload, _ = run_json(capsys, [command, *INFEASIBLE_MODEL[command], *EXPERIMENT_ARGS])
+    assert code == 0
+    report = payload["report"]
+    assert report["results"]["model"] is None
+    assert report["results"]["model_pass"] is None
+    check = report["hypotheses"][-1]
+    assert check["name"] == "model_feasible"
+    assert check["label"] == cli.HYPOTHESIS_LABELS["model_feasible"]
+    assert check["passed"] is False and check["fatal"] is False
+    assert "cell space too large" in check["detail"]
+
+
+def test_feasible_model_adds_no_model_feasible_check(capsys):
+    code, payload, _ = run_json(capsys, PHI_ARGS)
+    assert code == 0
+    assert "model_feasible" not in {h["name"] for h in payload["report"]["hypotheses"]}
+
+
 # ----------------------------------------------------------- failure modes
+
+
+@pytest.mark.parametrize("command", ["phi", "joint"])
+@pytest.mark.parametrize("flag", ["--trials", "--blocks"])
+def test_zero_model_size_exits_1(command, flag, capsys):
+    polys = ["--poly", "0,1", "--poly", "1,0,1"] if command == "joint" else ["--poly", "0,1"]
+    code = cli.run([command, "--m", "3", *polys, *EXPERIMENT_ARGS, flag, "0"])
+    assert code == 1
+    assert "trials and blocks must be positive" in capsys.readouterr().err
+
 
 
 def test_hypothesis_failure_exits_1(capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvestats import curvewin
 from curvestats.curvewin import (
     BetaScan,
     Curve,
@@ -34,12 +35,11 @@ from curvestats.curvewin import (
     joint_histogram,
     residue_histogram,
     restricted_window_counts,
-    theorem_experiment,
     window_counts,
     window_counts_direct,
 )
 from curvestats.errors import HypothesisError
-from curvestats.ffield import FieldSpec, legendre
+from curvestats.ffield import FieldSpec, char_index, char_indices, legendre
 from curvestats.polyff import Poly, admissible, poly, x_poly
 
 
@@ -241,6 +241,32 @@ def test_discrepancy_closed_forms():
         assert discrepancy(h) == 1 - Fraction(1, m)
     with pytest.raises(ValueError):
         discrepancy(Histogram(3, (0, 0, 0)))
+    # the joint (k = 2) histogram shares the closed forms and the empty guard
+    assert discrepancy(Histogram(2, (3, 0, 0, 0), k=2)) == Fraction(3, 4)
+    empty = Histogram(3, (0,) * 9, k=2)
+    for call in (empty.discrepancy, lambda: empty.phi((0, 0))):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_object_dtype_path_above_int64_limit():
+    # p > 3_037_000_499: polynomial values, powers and character indices
+    # fall back to Python ints in object arrays
+    p = 4294967311
+    fs = _field(p)
+    C = curve(fs, 3, poly([1, 1, 0, 1], p))
+    x0 = p - 3000
+    assert C.P.eval_vec(np.arange(x0, x0 + 3, dtype=np.int64)).dtype == object
+    fib = fiber_array(C, x0, x0 + 299)
+    assert fib.tolist() == [fiber_count(C, x) for x in range(x0, x0 + 300)]
+    assert set(fib.tolist()) == {0, 3}
+    spec = ScanSpec(x0, 400, 30)
+    direct = window_counts_direct(C, spec)
+    for threads in (1, 2):
+        assert np.array_equal(window_counts(C, spec, threads=threads), direct)
+    xs = np.concatenate([[0, p], np.arange(x0, x0 + 300)]).astype(np.int64)
+    want = [-1 if char_index(C.chi, int(x)) is None else char_index(C.chi, int(x)) for x in xs]
+    assert char_indices(C.chi, xs).tolist() == want
 
 
 # ---------------------------------------------------------------- joint
@@ -590,7 +616,7 @@ def test_thm2_mixed_family_calibrates():
     assert rep.bound == pytest.approx(7 * 3**4 * 4 / 10)
     assert rep.bound_pass
     assert rep.model_pass is True
-    assert rep.joint.total == 9897
+    assert rep.histogram.total == 9897
 
 
 def test_thm2_shifted_family_concentrates_on_diagonal():
@@ -620,6 +646,27 @@ def test_thm2_needs_two_curves():
         experiment_thm2([curve(fs, 2, x_poly(13))], ScanSpec(0, 4, 3, 1), m=3, trials=5, seed=1)
 
 
+def test_infeasible_model_is_recorded_not_raised():
+    fs = _field(10007)
+    C = curve(fs, 2, x_poly(10007))
+    rep = experiment_thm1(C, ScanSpec.full(10007, 100, 5), m=4099, trials=5, seed=1)
+    assert rep.model is None and rep.model_pass is None
+    check = rep.hypotheses[-1]
+    assert check.name == "model_feasible"
+    assert not check.passed and not check.fatal
+    assert "cell space" in check.detail
+    assert rep.histogram.total == rep.params["scan_len"]
+
+
+@pytest.mark.parametrize("trials, blocks", [(0, None), (5, 0)])
+def test_model_size_rejected_before_the_scan(trials, blocks, monkeypatch):
+    monkeypatch.setattr(curvewin, "window_counts", lambda *a, **k: pytest.fail("scan ran"))
+    fs = _field(10007)
+    C = curve(fs, 2, x_poly(10007))
+    with pytest.raises(ValueError, match="trials and blocks"):
+        experiment_thm1(C, _spec10007(), m=3, trials=trials, seed=1, blocks=blocks)
+
+
 def test_thm3_report_regression():
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
@@ -641,12 +688,3 @@ def test_thm3_condition_violation_named():
     with pytest.raises(HypothesisError) as exc:
         experiment_thm3(C, rect, _spec10007(), m=3, trials=10, seed=1)
     assert exc.value.name == "condition_star"
-
-
-def test_theorem_experiment_dispatch():
-    fs = _field(10007)
-    C = curve(fs, 2, x_poly(10007))
-    rep = theorem_experiment("thm1", C=C, spec=_spec10007(), m=1, trials=5, seed=3)
-    assert rep.kind == "thm1"
-    with pytest.raises(ValueError):
-        theorem_experiment("thm9")
