@@ -75,6 +75,9 @@ __all__ = [
 
 _JOINT_CELL_LIMIT = 1 << 20
 
+# longest window-scan chunk, which bounds the per-chunk temporaries
+_SCAN_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -264,15 +267,15 @@ def _counts_from_values(values: np.ndarray, scan_len: int, I: int) -> np.ndarray
 
 
 def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
-    n = max(1, min(threads, scan_len))
+    n = max(1, min(scan_len, max(threads, -(-scan_len // _SCAN_CHUNK))))
     step = (scan_len + n - 1) // n
     return [(s, min(s + step, scan_len)) for s in range(0, scan_len, step)]
 
 
 def _chunked_scan(values_for, spec: ScanSpec, threads: int) -> np.ndarray:
-    """Run a window scan in contiguous chunks, one per thread; each chunk
-    recomputes its first window and slides thereafter, so the result is
-    chunk-count independent."""
+    """Run a window scan in contiguous chunks, at least one per thread and
+    none longer than _SCAN_CHUNK windows; each chunk recomputes its first
+    window and slides thereafter, so the result is chunk-count independent."""
     I = spec.window_len
     chunks = _scan_chunks(spec.scan_len, threads)
 

@@ -50,6 +50,9 @@ FEASIBLE_LIMIT = 1 << 20
 # block-model DP guard on the number of (position, visit-vector) states
 _STATE_LIMIT = 1 << 18
 
+# block-model rotation works on at most this many counts at once
+_ROTATE_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -255,72 +258,75 @@ class ModelSummary:
     trials: int
 
 
+def _merge_rows(rows: np.ndarray, weights: np.ndarray):
+    """Distinct rows (in no particular order) and the summed weight of each.
+
+    Rows compare as raw bytes through a void view, so any row width works.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+
+
 def _block_type_distribution(steps, m: int, k: int, L: int):
     """Exact distribution of a block's visit histogram over (Z/mZ)^k.
 
     A block walks L steps from a uniformly random start in (Z/mZ)^k; the
     distribution over visit-count vectors is computed by dynamic
     programming over (position, counts) states, then averaged over the
-    uniform start by rotating the histogram.  Returns a type matrix
-    (T, m^k) and exact-turned-float probabilities (T,).
+    uniform start by rotating the histogram.  Weights are integers in
+    units of 1/(D^L m^k), D the lcm of the step denominators, so the
+    arithmetic is exact; they are int64 when the total fits and Python
+    ints otherwise.  Returns a type matrix (T, m^k), rows in lexicographic
+    order, and exact-turned-float probabilities (T,).
     """
     mk = m**k
     if mk > 4096:
         raise ValueError("joint cell space too large for the block model")
+    radix = m ** np.arange(k)
+    digits = (np.arange(mk)[:, None] // radix) % m  # cell code -> (z_0, ..., z_{k-1})
+    vecs = np.array([sv for sv, _ in steps], dtype=np.int64)
+    move = ((digits[:, None, :] + vecs[None, :, :]) % m) @ radix  # [cell, step] -> next cell
+    D = math.lcm(*(sp.denominator for _, sp in steps))
+    step_w = [int(sp * D) for _, sp in steps]
+    # every weight is at most the grand total sum(step_w)^L * m^k
+    wtype = np.int64 if sum(step_w) ** L * mk < 2**63 else object
+    step_w = np.array(step_w, dtype=wtype)
 
-    def encode(vec):
-        code = 0
-        for i in reversed(range(k)):
-            code = code * m + vec[i]
-        return code
-
-    def decode(code):
-        out = []
-        for _ in range(k):
-            out.append(code % m)
-            code //= m
-        return tuple(out)
-
-    zero = tuple([0] * k)
-    start_counts = tuple([0] * mk)
-    states: dict[tuple, Fraction] = {(zero, start_counts): Fraction(1)}
+    # one row (position, counts[0..mk-1]) per state; block j of the
+    # candidate rows is every state moved by step j
+    rows = np.zeros((1, 1 + mk), dtype=np.min_scalar_type(max(L, mk - 1)))
+    weights = np.ones(1, dtype=wtype)
     for _ in range(L):
-        nxt: dict[tuple, Fraction] = {}
-        for (z, c), pr in states.items():
-            for sv, sp in steps:
-                z2 = tuple((zi + si) % m for zi, si in zip(z, sv))
-                cell = encode(z2)
-                c2 = list(c)
-                c2[cell] += 1
-                key = (z2, tuple(c2))
-                nxt[key] = nxt.get(key, Fraction(0)) + pr * sp
-            if len(nxt) > _STATE_LIMIT:
-                raise ValueError("block model state space exceeds the feasibility guard")
-        states = nxt
+        pos = move[rows[:, 0]].T.ravel()
+        nxt = np.tile(rows, (len(steps), 1))
+        nxt[:, 0] = pos
+        nxt[np.arange(len(nxt)), 1 + pos] += 1
+        rows, weights = _merge_rows(nxt, np.outer(step_w, weights).ravel())
+        if len(rows) > _STATE_LIMIT:
+            raise ValueError("block model state space exceeds the feasibility guard")
+    counts, weights = _merge_rows(rows[:, 1:], weights)
 
-    # rotate by a uniform start: a visit at cell b becomes a visit at b + u
-    shift_perm = {}
-    for u_code in range(mk):
-        u = decode(u_code)
-        perm = [0] * mk
-        for b_code in range(mk):
-            b = decode(b_code)
-            src = encode(tuple((bi - ui) % m for bi, ui in zip(b, u)))
-            perm[b_code] = src
-        shift_perm[u_code] = perm
+    # rotate by a uniform start u: a visit at cell b becomes a visit at b + u,
+    # so counts[:, shift[u]] is the rotated histogram; rotating a bounded
+    # number of rows at a time keeps any (S, mk, mk) array out of memory
+    shift = ((digits[None, :, :] - digits[:, None, :]) % m) @ radix  # [u, b] -> cell b - u
+    chunk = max(1, _ROTATE_ELEMENTS // (mk * mk))
+    parts = [
+        _merge_rows(counts[i : i + chunk][:, shift].reshape(-1, mk), np.repeat(weights[i : i + chunk], mk))
+        for i in range(0, len(counts), chunk)
+    ]
+    types, weights = _merge_rows(np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts]))
 
-    unif = Fraction(1, mk)
-    agg: dict[tuple, Fraction] = {}
-    for (_, c), pr in states.items():
-        w = pr * unif
-        for u_code in range(mk):
-            perm = shift_perm[u_code]
-            c2 = tuple(c[perm[b]] for b in range(mk))
-            agg[c2] = agg.get(c2, Fraction(0)) + w
-
-    types = np.array(sorted(agg.keys()), dtype=np.int64)
-    probs = np.array([float(agg[tuple(row)]) for row in types], dtype=np.float64)
-    return types, probs
+    types = types.astype(np.int64)
+    order = np.lexsort(types.T[::-1])
+    # int / int rounds correctly, so each probability equals float(Fraction(w, total))
+    total = D**L * mk
+    probs = np.array([int(w) / total for w in weights[order]], dtype=np.float64)
+    return types[order], probs
 
 
 def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary:
@@ -360,6 +366,18 @@ def _power_steps(ell: int, m: int, k: int):
     return steps
 
 
+def _bernoulli_steps(alpha, m: int):
+    """Steps v - v' reduced mod m, with v, v' independent Bernoulli(alpha)."""
+    a = Fraction(alpha)
+    if not 0 <= a <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    paq = a * (1 - a)
+    single = {}
+    for value, pr in ((1 % m, paq), ((-1) % m, paq), (0, 1 - 2 * paq)):
+        single[value] = single.get(value, Fraction(0)) + pr
+    return [((v,), pr) for v, pr in sorted(single.items())]
+
+
 def model_reference(ell, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:
     """Discrepancy distribution of N-block walks matching a curve scan."""
     if ell < 2:
@@ -376,12 +394,4 @@ def model_reference_joint(ell, m, L, k, blocks, trials, seed, threads: int = 1) 
 
 def model_reference_bernoulli(alpha, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:
     """Restricted-domain variant: steps v - v' with v, v' Bernoulli(alpha)."""
-    a = Fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    paq = a * (1 - a)
-    single = {}
-    for value, pr in ((1 % m, paq), ((-1) % m, paq), (0, 1 - 2 * paq)):
-        single[value] = single.get(value, Fraction(0)) + pr
-    steps = [((v,), pr) for v, pr in sorted(single.items())]
-    return _model_core(steps, m, 1, L, blocks, trials, seed, threads)
+    return _model_core(_bernoulli_steps(alpha, m), m, 1, L, blocks, trials, seed, threads)

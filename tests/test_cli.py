@@ -163,6 +163,19 @@ def test_infeasible_model_is_a_named_nonfatal_skip(command, capsys):
     assert "cell space too large" in check["detail"]
 
 
+def test_state_space_guard_is_a_named_nonfatal_skip(capsys):
+    # 3^2 cells pass the cell guard; at L = 11 the DP's states do not
+    args = ["joint", "--m", "3", "--poly", "1,1,0,1", "--poly", "2,0,1", *EXPERIMENT_ARGS]
+    args[args.index("--block") + 1] = "11"
+    code, payload, _ = run_json(capsys, args)
+    assert code == 0
+    assert payload["report"]["results"]["model"] is None
+    check = payload["report"]["hypotheses"][-1]
+    assert check["name"] == "model_feasible"
+    assert check["passed"] is False and check["fatal"] is False
+    assert check["detail"] == "block model state space exceeds the feasibility guard"
+
+
 def test_feasible_model_adds_no_model_feasible_check(capsys):
     code, payload, _ = run_json(capsys, PHI_ARGS)
     assert code == 0

@@ -409,6 +409,20 @@ def test_restricted_thread_invariance():
     assert np.array_equal(base, restricted_window_counts(C, rect, spec, threads=4))
 
 
+def test_short_scan_chunks_change_no_result(monkeypatch):
+    fs = _field(1009)
+    C = curve(fs, 2, x_poly(1009))
+    rect = Rect(0, 1008, 1, 504)
+    spec = ScanSpec(3, 900, 50)
+    direct = window_counts_direct(C, spec)
+    single = restricted_window_counts(C, rect, spec)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    assert len(curvewin._scan_chunks(spec.scan_len, 1)) == 129
+    for threads in (1, 2):
+        assert np.array_equal(window_counts(C, spec, threads=threads), direct)
+        assert np.array_equal(restricted_window_counts(C, rect, spec, threads=threads), single)
+
+
 # ---------------------------------------------------------------- beta residues
 
 

@@ -10,6 +10,7 @@ import pytest
 from curvestats.errors import HypothesisError
 from curvestats.rwalk import (
     WalkConfig,
+    _bernoulli_steps,
     _block_type_distribution,
     _digit_matrix,
     _pair_sum,
@@ -46,6 +47,59 @@ def _integer_oracle(cum, m):
             R = np.bincount(row, minlength=m)
             tot += int(((m * R - L) ** 2).sum())
     return tot
+
+
+def _fraction_block_types(steps, m, k, L):
+    """The block-type DP on dicts of Fractions: the oracle for the integer DP."""
+    mk = m**k
+
+    def encode(vec):
+        code = 0
+        for i in reversed(range(k)):
+            code = code * m + vec[i]
+        return code
+
+    def decode(code):
+        out = []
+        for _ in range(k):
+            out.append(code % m)
+            code //= m
+        return tuple(out)
+
+    zero = tuple([0] * k)
+    start_counts = tuple([0] * mk)
+    states: dict[tuple, Fraction] = {(zero, start_counts): Fraction(1)}
+    for _ in range(L):
+        nxt: dict[tuple, Fraction] = {}
+        for (z, c), pr in states.items():
+            for sv, sp in steps:
+                z2 = tuple((zi + si) % m for zi, si in zip(z, sv))
+                c2 = list(c)
+                c2[encode(z2)] += 1
+                key = (z2, tuple(c2))
+                nxt[key] = nxt.get(key, Fraction(0)) + pr * sp
+        states = nxt
+
+    # rotate by a uniform start: a visit at cell b becomes a visit at b + u
+    shift_perm = {}
+    for u_code in range(mk):
+        u = decode(u_code)
+        shift_perm[u_code] = [
+            encode(tuple((bi - ui) % m for bi, ui in zip(decode(b_code), u)))
+            for b_code in range(mk)
+        ]
+
+    unif = Fraction(1, mk)
+    agg: dict[tuple, Fraction] = {}
+    for (_, c), pr in states.items():
+        w = pr * unif
+        for perm in shift_perm.values():
+            c2 = tuple(c[perm[b]] for b in range(mk))
+            agg[c2] = agg.get(c2, Fraction(0)) + w
+
+    types = np.array(sorted(agg.keys()), dtype=np.int64)
+    probs = np.array([float(agg[tuple(row)]) for row in types], dtype=np.float64)
+    return types, probs
 
 
 # ---------------------------------------------------------------- config and rng
@@ -280,6 +334,35 @@ def test_block_types_match_path_enumeration():
         assert got[key] == pytest.approx(float(frac), abs=1e-12)
 
 
+# (3, 2, 2, 10) carries its weights as Python ints: 81^10 * 4 >= 2^63
+POWER_GRID = [
+    (2, 3, 1, 5), (2, 3, 2, 8), (2, 3, 3, 3), (2, 100, 1, 5), (2, 250, 1, 5),
+    (3, 4, 2, 4), (3, 2, 2, 10), (2, 3, 1, 40), (2, 1, 1, 5), (2, 3, 1, 1),
+]
+
+
+@pytest.mark.parametrize("ell,m,k,L", POWER_GRID)
+def test_block_types_match_fraction_dp_power_steps(ell, m, k, L):
+    steps = _power_steps(ell, m, k)
+    types, probs = _block_type_distribution(steps, m, k, L)
+    want_types, want_probs = _fraction_block_types(steps, m, k, L)
+    assert types.dtype == want_types.dtype and np.array_equal(types, want_types)
+    assert np.array_equal(probs, want_probs)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3001, 10007)])
+@pytest.mark.parametrize("m,L", [(3, 5), (2, 6), (1, 3)])
+def test_block_types_match_fraction_dp_bernoulli_steps(alpha, m, L):
+    # alpha in {0, 1} gives zero-probability steps, whose types stay with weight 0
+    steps = _bernoulli_steps(alpha, m)
+    types, probs = _block_type_distribution(steps, m, 1, L)
+    want_types, want_probs = _fraction_block_types(steps, m, 1, L)
+    assert np.array_equal(types, want_types)
+    assert np.array_equal(probs, want_probs)
+    if alpha in (0, 1) and m > 1:
+        assert (probs == 0).any()
+
+
 def test_model_m1_quantiles_zero():
     ms = model_reference(2, 1, 5, blocks=500, trials=50, seed=1)
     assert ms.q50 == ms.q95 == ms.q99 == 0.0
@@ -314,8 +397,11 @@ def test_bernoulli_model():
 def test_joint_model_and_guard():
     ms = model_reference_joint(2, 3, 3, 2, blocks=1000, trials=100, seed=8)
     assert ms.q99 >= 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^joint cell space too large for the block model$"):
         model_reference_joint(2, 100, 3, 2, blocks=10, trials=10, seed=0)
+    # 3^2 cells pass the cell guard; at L = 11 the DP reaches 393822 states
+    with pytest.raises(ValueError, match="^block model state space exceeds the feasibility guard$"):
+        model_reference_joint(2, 3, 11, 2, blocks=10, trials=10, seed=0)
 
 
 def test_model_validation():
