@@ -29,7 +29,6 @@ from .ffield import (
     Character,
     FieldSpec,
     char_index,
-    char_index_table,
     char_indices,
     character,
     legendre,
@@ -225,7 +224,7 @@ def residue_histogram(counts: np.ndarray, m: int) -> Histogram:
     values = np.asarray(counts)
     if values.size == 0:
         return Histogram(m, (0,) * m)
-    tall = np.bincount(np.mod(values, m).astype(np.int64), minlength=m)
+    tall = np.bincount(np.mod(values, m), minlength=m)
     return Histogram(m, tuple(int(c) for c in tall))
 
 
@@ -244,26 +243,25 @@ def fiber_array(C: Curve, lo: int, hi: int) -> np.ndarray:
     """Fiber sizes for x in [lo, hi] inclusive (empty when hi < lo)."""
     if hi < lo:
         return np.zeros(0, dtype=np.int64)
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = C.P.eval_vec(xs)
-    idx = char_indices(C.chi, vals)
-    out = np.where(idx == 0, C.chi.d, 0).astype(np.int64)
-    out[vals == 0] = 1
-    return out
+    vals = C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64))
+    # index 0 (a nonzero d-th power) has d points, -1 (P(x) = 0) one, others none
+    sizes = np.zeros(C.chi.d + 1, dtype=np.int64)
+    sizes[0], sizes[-1] = C.chi.d, 1
+    return sizes[char_indices(C.chi, vals)]
 
 
-def _counts_from_values(values: np.ndarray, scan_len: int, I: int) -> np.ndarray:
-    """Window sums by the sliding update N(s+1) = N(s) - v[s] + v[s+I].
+def _counts_from_values(values: np.ndarray, I: int, out: np.ndarray):
+    """Window sums into out by the sliding update N(s+1) = N(s) - v[s] + v[s+I].
 
     values[j] holds the summand at x = x_start + 1 + j, for
-    j in [0, scan_len - 1 + I).
+    j in [0, len(out) - 1 + I).
     """
-    out = np.empty(scan_len, dtype=np.int64)
+    n = len(out)
     out[0] = int(values[:I].sum())
-    if scan_len > 1:
-        deltas = values[I : I + scan_len - 1] - values[: scan_len - 1]
-        out[1:] = out[0] + np.cumsum(deltas)
-    return out
+    if n > 1:
+        np.subtract(values[I : I + n - 1], values[: n - 1], out=out[1:])
+        np.cumsum(out[1:], out=out[1:])
+        out[1:] += out[0]
 
 
 def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
@@ -278,14 +276,15 @@ def _chunked_scan(values_for, spec: ScanSpec, threads: int) -> np.ndarray:
     window and slides thereafter, so the result is chunk-count independent."""
     I = spec.window_len
     chunks = _scan_chunks(spec.scan_len, threads)
+    out = np.empty(spec.scan_len, dtype=np.int64)
 
-    def one(i: int) -> np.ndarray:
+    def one(i: int):
         s0, s1 = chunks[i]
         vals = values_for(spec.x_start + s0 + 1, spec.x_start + s1 - 1 + I)
-        return _counts_from_values(vals, s1 - s0, I)
+        _counts_from_values(vals, I, out[s0:s1])
 
-    parts = run_indexed(one, len(chunks), threads)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    run_indexed(one, len(chunks), threads)
+    return out
 
 
 def window_counts(C: Curve, spec: ScanSpec, threads: int = 1) -> np.ndarray:
@@ -450,15 +449,10 @@ def cor4_exceptional(fs: FieldSpec, ell: int, L_window: int, mu: int) -> int:
     if not 0 <= mu < chi.d:
         raise ValueError("mu must be a unity index in [0, d)")
     hi = p - 2  # windows [x0, x0+L) with x0 <= p-1-L never reach p-1
-    if p <= 1 << 24:
-        idx = char_index_table(chi)[: hi + 1]
-    else:
-        idx = char_indices(chi, np.arange(hi + 1, dtype=np.int64))
-    hit = (idx == mu).astype(np.int64)
-    S = np.concatenate([[0], np.cumsum(hit)])
+    S = np.zeros(hi + 2, dtype=np.int64)
+    np.cumsum(char_indices(chi, np.arange(hi + 1, dtype=np.int64)) == mu, out=S[1:])
     n_pos = p - L_window  # x0 in [0, p-1-L]
-    window_hits = S[L_window : L_window + n_pos] - S[:n_pos]
-    return int((window_hits == 0).sum())
+    return int(np.count_nonzero(S[L_window : L_window + n_pos] == S[:n_pos]))
 
 
 # ---------------------------------------------------------------- experiments

@@ -10,7 +10,9 @@ integer arithmetic, with numpy fast paths for bulk evaluation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,13 @@ __all__ = [
 
 # Largest modulus for which (p-1)^2 still fits in a signed 64-bit product.
 _INT64_MOD_LIMIT = 3_037_000_499
+
+# Largest modulus with an index table: 16 MB per character at int8 (d < 128).
+_TABLE_LIMIT = 1 << 24
+
+# A character builds its O(p) index table once it has evaluated p / _TABLE_AFTER
+# elements, so one short call at large p never pays for it.
+_TABLE_AFTER = 16
 
 # Sufficient deterministic Miller-Rabin witness set for all n < 3.3 * 10^24,
 # which covers every 64-bit input with a wide margin.
@@ -207,6 +216,25 @@ class CharValue:
         return self.index is None
 
 
+class _LazyTable:
+    """A character's index table, built on first need under a lock so
+    concurrent workers build it once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.evaluated = 0
+        self.table: np.ndarray | None = None
+
+    def get(self, chi: "Character", n: int) -> np.ndarray | None:
+        """Count n more evaluated elements; the table once they reach p / _TABLE_AFTER."""
+        with self.lock:
+            if self.table is None:
+                self.evaluated += n
+                if self.evaluated * _TABLE_AFTER >= chi.field.p:
+                    self.table = char_index_table(chi)
+            return self.table
+
+
 @dataclass(frozen=True)
 class Character:
     """Multiplicative character of F_p^* of order d = gcd(ell, p-1).
@@ -222,6 +250,7 @@ class Character:
     exponent: int
     match_table: tuple[int, ...]
     _index_of: dict[int, int] = field(compare=False, repr=False, default_factory=dict)
+    _lazy: _LazyTable = field(compare=False, repr=False, init=False, default_factory=_LazyTable)
 
     def __post_init__(self):
         if not self._index_of:
@@ -229,7 +258,17 @@ class Character:
 
 
 def character(fs: FieldSpec, ell: int) -> Character:
-    """The order-gcd(ell, p-1) character sending the generator g to zeta_d."""
+    """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
+
+    One Character per (field, ell) is shared by all callers, so its cached
+    index table serves every curve and call on that field.
+    """
+    return _character(fs, ell)
+
+
+# each Character may hold a table of up to 16 MB, so only a few stay cached
+@functools.lru_cache(maxsize=8)
+def _character(fs: FieldSpec, ell: int) -> Character:
     if ell < 2:
         raise ValueError("character order parameter must be at least 2")
     d = math.gcd(ell, fs.p - 1)
@@ -257,15 +296,40 @@ def char_index(chi: Character, x: int) -> int | None:
     return char_value(chi, x).index
 
 
+def _index_dtype(d: int) -> type:
+    return np.int8 if d < 128 else np.int32
+
+
 def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
-    """Vectorized char_index; zero values are encoded as -1."""
+    """Vectorized char_index; zero values are encoded as -1.
+
+    For p <= 2**24 and integer input the indices are read from the
+    character's cached char_index_table once it has evaluated p/16
+    elements over all calls; otherwise they come from the power map.
+    Both paths return the table's dtype.
+    """
     p = chi.field.p
+    xs = np.asarray(xs)
+    if p > _TABLE_LIMIT or xs.dtype.kind not in "iu":
+        return _char_indices_pow(chi, xs)
+    table = chi._lazy.get(chi, xs.size)
+    if table is None:
+        return _char_indices_pow(chi, xs)
+    if xs.size and (xs.min() < 0 or xs.max() >= p):
+        xs = np.mod(xs, p)
+    return table[xs]
+
+
+def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
+    """char_indices by the power map x -> x^((p-1)/d); oracle for the table."""
+    p = chi.field.p
+    dtype = _index_dtype(chi.d)
     xs = np.asarray(xs)
     t = pow_mod_vec(xs, chi.exponent, p)
     if t.dtype == object:
         flat = np.array(
             [-1 if x % p == 0 else chi._index_of[v] for x, v in zip(xs.ravel(), t.ravel())],
-            dtype=np.int64,
+            dtype=dtype,
         )
         return flat.reshape(xs.shape)
     table = np.array(chi.match_table, dtype=np.int64)
@@ -277,7 +341,7 @@ def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     bad = (out == -1) & (np.mod(xs, p) != 0)
     if bad.any():
         raise ArithmeticError("power map left the root-of-unity table")
-    return out
+    return out.astype(dtype)
 
 
 def char_index_table(chi: Character) -> np.ndarray:
@@ -287,12 +351,14 @@ def char_index_table(chi: Character) -> np.ndarray:
     p > 2**24 to bound memory.
     """
     p = chi.field.p
-    if p > 1 << 24:
+    if p > _TABLE_LIMIT:
         raise ValueError("index table only supported for p <= 2**24")
     g = chi.field.g
     d = chi.d
-    table = np.full(p, -1, dtype=np.int8 if d < 128 else np.int32)
-    block = min(4096, p - 1)
+    table = np.full(p, -1, dtype=_index_dtype(d))
+    block = min(16384, p - 1)
+    if d <= block:
+        block -= block % d  # then index (start + j) mod d is j mod d in every block
     pows = np.empty(block, dtype=np.int64)
     t = 1
     for j in range(block):
@@ -300,11 +366,16 @@ def char_index_table(chi: Character) -> np.ndarray:
         t = t * g % p
     g_block = t  # g**block
     offsets = np.arange(block, dtype=np.int64)
+    residues = (offsets % d).astype(table.dtype)
+    vals = np.empty(block, dtype=np.int64)
     scale = 1
     for start in range(0, p - 1, block):
         cnt = min(block, p - 1 - start)
-        vals = pows[:cnt] * scale % p
-        table[vals] = (start + offsets[:cnt]) % d
+        if block % d:
+            residues = ((start + offsets) % d).astype(table.dtype)
+        np.multiply(pows[:cnt], scale, out=vals[:cnt])
+        np.mod(vals[:cnt], p, out=vals[:cnt])
+        table[vals[:cnt]] = residues[:cnt]
         scale = scale * g_block % p
     return table
 

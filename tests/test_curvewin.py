@@ -7,12 +7,14 @@ this module once and checked exactly thereafter.
 """
 
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curvestats import curvewin
+from curvestats import curvewin, ffield
 from curvestats.curvewin import (
     BetaScan,
     Curve,
@@ -141,6 +143,54 @@ def test_window_counts_thread_invariance():
     base = window_counts(C, spec, threads=1)
     for threads in (2, 3, 8):
         assert np.array_equal(base, window_counts(C, spec, threads=threads))
+
+
+def test_threads_build_one_table(monkeypatch):
+    builds = []
+    build = ffield.char_index_table
+
+    def counted(chi):
+        builds.append(chi.field.p)
+        time.sleep(0.05)  # hold the build open while the other workers arrive
+        return build(chi)
+
+    fs = _field(100003)
+    spec = ScanSpec(0, fs.p - 100, 50)
+    base = window_counts(curve(fs, 2, poly([1, 1, 0, 1], fs.p)), spec)
+    monkeypatch.setattr(ffield, "char_index_table", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 8):
+            ffield._character.cache_clear()
+            builds.clear()
+            C = curve(fs, 2, poly([1, 1, 0, 1], fs.p))
+            assert np.array_equal(window_counts(C, spec, threads=threads), base)
+            assert builds == [fs.p]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_degenerate_scans_on_the_table_path():
+    # m = 1, I = 0, scan_len = 1 and p = 3, with the character's table in use
+    rng = np.random.default_rng(3030)
+    for _ in range(60):
+        p = int(rng.choice([3, 5, 7, 13, 10009]))
+        fs = _field(p)
+        C = curve(fs, int(rng.choice([2, 3, 4])), _random_poly(rng, p, 3))
+        fib = fiber_array(C, 0, p - 1)
+        assert C.chi._lazy.table is not None
+        if p < 100:
+            assert fib.tolist() == [fiber_count(C, x) for x in range(p)]
+        I = 0 if rng.random() < 0.5 else int(rng.integers(0, p))
+        scan_len = 1 if rng.random() < 0.5 else int(rng.integers(1, p - I + 1))
+        x_start = int(rng.integers(0, p - I - scan_len + 1))
+        spec = ScanSpec(x_start, scan_len, I)
+        direct = window_counts_direct(C, spec)
+        for threads in (1, 2):
+            assert np.array_equal(window_counts(C, spec, threads=threads), direct)
+        assert residue_histogram(direct, 1).counts == (scan_len,)
+        assert joint_histogram([C], spec, 1).counts == (scan_len,)
 
 
 def test_wraparound_rejected_by_name():
