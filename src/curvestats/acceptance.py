@@ -158,14 +158,13 @@ def criterion_5(threads: int = 1) -> CriterionResult:
     """Character sums stay below the square-root cancellation bounds."""
     rng = np.random.default_rng(50505)
     fields = {p: FieldSpec.from_prime(p) for p in (10007, 100003)}
-    chis = {}
     done = 0
     while done < 100:
         p = int(rng.choice([10007, 100003]))
         ell = int(rng.choice([2, 3]))
         if p % ell != 1:
             ell = 2
-        chi = chis.setdefault((p, ell), character(fields[p], ell))
+        chi = character(fields[p], ell)
         P = _random_poly(rng, p, 5)
         lo = int(rng.integers(0, p - 1))
         hi = int(rng.integers(lo, p))

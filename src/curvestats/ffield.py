@@ -38,12 +38,9 @@ __all__ = [
 # Largest modulus for which (p-1)^2 still fits in a signed 64-bit product.
 _INT64_MOD_LIMIT = 3_037_000_499
 
-# Largest modulus with an index table: 16 MB per character at int8 (d < 128).
+# Largest modulus with an index table. A table takes p bytes (int8, d < 128)
+# or 4p bytes (int32), so at most 16 MB or 64 MB per character.
 _TABLE_LIMIT = 1 << 24
-
-# A character builds its O(p) index table once it has evaluated p / _TABLE_AFTER
-# elements, so one short call at large p never pays for it.
-_TABLE_AFTER = 16
 
 # Sufficient deterministic Miller-Rabin witness set for all n < 3.3 * 10^24,
 # which covers every 64-bit input with a wide margin.
@@ -217,21 +214,17 @@ class CharValue:
 
 
 class _LazyTable:
-    """A character's index table, built on first need under a lock so
+    """A character's index table, built on first use under a lock so
     concurrent workers build it once."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.evaluated = 0
         self.table: np.ndarray | None = None
 
-    def get(self, chi: "Character", n: int) -> np.ndarray | None:
-        """Count n more evaluated elements; the table once they reach p / _TABLE_AFTER."""
+    def get(self, chi: "Character") -> np.ndarray:
         with self.lock:
             if self.table is None:
-                self.evaluated += n
-                if self.evaluated * _TABLE_AFTER >= chi.field.p:
-                    self.table = char_index_table(chi)
+                self.table = char_index_table(chi)
             return self.table
 
 
@@ -257,18 +250,17 @@ class Character:
             self._index_of.update({v: k for k, v in enumerate(self.match_table)})
 
 
+# Each cached Character may hold an index table of up to 64 MB (see
+# _TABLE_LIMIT), so the cache itself holds at most 256 MB. A CLI command
+# uses one character; verify's criterion 5 cycles through three, and
+# other criteria through many small ones that are cheap to rebuild.
+@functools.lru_cache(maxsize=4)
 def character(fs: FieldSpec, ell: int) -> Character:
     """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
 
     One Character per (field, ell) is shared by all callers, so its cached
     index table serves every curve and call on that field.
     """
-    return _character(fs, ell)
-
-
-# each Character may hold a table of up to 16 MB, so only a few stay cached
-@functools.lru_cache(maxsize=8)
-def _character(fs: FieldSpec, ell: int) -> Character:
     if ell < 2:
         raise ValueError("character order parameter must be at least 2")
     d = math.gcd(ell, fs.p - 1)
@@ -304,17 +296,15 @@ def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     """Vectorized char_index; zero values are encoded as -1.
 
     For p <= 2**24 and integer input the indices are read from the
-    character's cached char_index_table once it has evaluated p/16
-    elements over all calls; otherwise they come from the power map.
-    Both paths return the table's dtype.
+    character's char_index_table, built on the first such call and kept
+    with the character; otherwise they come from the power map. Both
+    paths return the table's dtype.
     """
     p = chi.field.p
     xs = np.asarray(xs)
     if p > _TABLE_LIMIT or xs.dtype.kind not in "iu":
         return _char_indices_pow(chi, xs)
-    table = chi._lazy.get(chi, xs.size)
-    if table is None:
-        return _char_indices_pow(chi, xs)
+    table = chi._lazy.get(chi)
     if xs.size and (xs.min() < 0 or xs.max() >= p):
         xs = np.mod(xs, p)
     return table[xs]

@@ -162,7 +162,7 @@ def test_threads_build_one_table(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for threads in (2, 8):
-            ffield._character.cache_clear()
+            ffield.character.cache_clear()
             builds.clear()
             C = curve(fs, 2, poly([1, 1, 0, 1], fs.p))
             assert np.array_equal(window_counts(C, spec, threads=threads), base)

@@ -240,11 +240,12 @@ def test_legendre_agrees_with_quadratic_character():
 
 def test_char_indices_agrees_with_table_and_scalar():
     # the power-map path against the table and the scalar char_index;
-    # d = 3 gives an int8 table, d = 40008 > 16384 an int32 one whose
-    # blocks are not a multiple of d
-    for p, ell in [(10009, 3), (40009, 40008)]:
+    # d = 3 gives an int8 table of p bytes, d = 40008 > 16384 an int32 one
+    # of 4p bytes whose blocks are not a multiple of d
+    for p, ell, width in [(10009, 3, 1), (40009, 40008, 4)]:
         chi = character(FieldSpec.from_prime(p), ell)
         table = char_index_table(chi)
+        assert table.nbytes == width * p
         pw = ffield._char_indices_pow(chi, np.arange(p, dtype=np.int64))
         assert table.dtype == pw.dtype
         assert np.array_equal(table, pw)
@@ -260,36 +261,27 @@ def test_char_indices_table_path_matches_power_map():
     for p in (3, 13, 10009, 1000003):
         fs = FieldSpec.from_prime(p)
         for ell in (2, 3, 4, 5):
-            ffield._character.cache_clear()
+            character.cache_clear()
             chi = character(fs, ell)
-            n = p // 8 + 64  # past the p/16 table threshold in one call
+            n = 4096
             xs = rng.integers(-3 * p, 3 * p, size=n)
             xs[: n // 8] = rng.integers(-3, 4, size=n // 8) * p  # zeros mod p
             got = char_indices(chi, xs)
             assert chi._lazy.table is not None
+            assert character(fs, ell) is chi
             want = ffield._char_indices_pow(chi, xs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
 
-def test_table_built_when_calls_add_up_to_a_sixteenth_of_p():
-    ffield._character.cache_clear()
-    chi = character(FieldSpec.from_prime(10009), 2)  # 10009 / 16 = 625.6
-    for _ in range(6):
-        char_indices(chi, np.arange(100, dtype=np.int64))
-    assert chi._lazy.table is None
-    char_indices(chi, np.arange(100, dtype=np.int64))
-    assert chi._lazy.table is not None
-    assert character(FieldSpec.from_prime(10009), 2) is chi
-
-
-@pytest.mark.parametrize("p,n", [(16777213, 10), (16777259, 16777259 // 16 + 1)])
-def test_char_indices_without_table(p, n, monkeypatch):
-    # a short call below 2^24 and any call above it use the power map
+@pytest.mark.parametrize("p,dtype", [(16777259, np.int64), (10009, object)])
+def test_char_indices_without_table(p, dtype, monkeypatch):
+    # any call above 2^24 and object input use the power map
     monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("table built"))
-    ffield._character.cache_clear()
+    character.cache_clear()
     chi = character(FieldSpec.from_prime(p), 2)
-    xs = np.arange(p - n, p, dtype=np.int64)
+    n = 1000
+    xs = np.arange(p - n, p, dtype=np.int64).astype(dtype)
     got = char_indices(chi, xs)
     assert chi._lazy.table is None
     for i in np.linspace(0, n - 1, 10).astype(np.int64):
