@@ -9,7 +9,6 @@ criteria derive every draw from fixed seeds, making reruns exact.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -25,18 +24,16 @@ from .curvewin import (
     condition_star,
     cor4_exceptional,
     curve,
-    discrepancy,
     experiment_thm1,
     fiber_array,
     gauss_lemma_check,
     joint_histogram,
-    residue_histogram,
     window_counts,
     window_counts_direct,
 )
 from .errors import HypothesisError
 from .ffield import FieldSpec, character, pow_mod_vec
-from .polyff import Poly, admissible, poly, x_poly
+from .polyff import Poly, poly, x_poly
 from .rwalk import exact_prop21a, exact_prop21b, exact_prop21c, model_reference
 
 __all__ = ["CriterionResult", "run_all", "RUNNERS"]

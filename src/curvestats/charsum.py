@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError
-from .curvewin import Curve, Rect, condition_star_witness, delta_array
+from .curvewin import Curve, Rect, _star_fibers
 from .ffield import Character, char_indices
 from .polyff import Poly, admissible, factor, multiplicatively_independent
 
@@ -200,17 +200,22 @@ class CensusResult:
     regime_detail: str
 
 
-def _census_validate(chi: Character, stride: int, offsets, N: int):
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    if N < 0:
-        raise ValueError("range bound must be nonnegative")
-    offs = [int(h) % chi.field.p for h in offsets]
+def _probe_offsets(offsets, p: int) -> list[int]:
+    """The probe offsets reduced mod p: nonempty and pairwise distinct."""
+    offs = [int(h) % p for h in offsets]
     if not offs:
         raise ValueError("need at least one probe offset")
     if len(set(offs)) != len(offs):
         raise ValueError("probe offsets must be pairwise distinct")
     return offs
+
+
+def _census_validate(chi: Character, stride: int, offsets, N: int):
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    if N < 0:
+        raise ValueError("range bound must be nonnegative")
+    return _probe_offsets(offsets, chi.field.p)
 
 
 def _census_regime(p: int, r: int, max_deg: int, theorem_mode: bool):
@@ -341,17 +346,8 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
     rect.validate(p)
     if stride < 1:
         raise ValueError("stride must be positive")
-    offs = [int(h) % p for h in offsets]
-    if not offs:
-        raise ValueError("need at least one probe offset")
-    if len(set(offs)) != len(offs):
-        raise ValueError("probe offsets must be pairwise distinct")
-    w = condition_star_witness(C, rect)
-    if w is not None:
-        raise HypothesisError(
-            "condition_star", f"x = {w} has more than one y in the rectangle"
-        )
-    d_arr = delta_array(C, rect)
+    offs = _probe_offsets(offsets, p)
+    fibers = _star_fibers(C, rect)
     start = ((rect.x_lo + stride - 1) // stride) * stride
     xs = np.arange(start, rect.x_hi + 1, stride, dtype=np.int64)
     if xs.size == 0:
@@ -368,10 +364,8 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
         pos = (xs + h) % p
         inside = (pos >= rect.x_lo) & (pos <= rect.x_hi)
         miss |= ~inside
-        vals = np.zeros(xs.size, dtype=np.int64)
-        safe = np.clip(pos - rect.x_lo, 0, d_arr.size - 1)
-        vals[inside] = d_arr[safe[inside]]
-        prod &= vals.astype(bool)
+        safe = np.clip(pos - rect.x_lo, 0, fibers.size - 1)
+        prod &= inside & (fibers[safe] >= 1)
     prediction = Fraction(rect.x_size, stride) * Fraction(rect.y_size, p) ** len(offs)
     return ShiftedCensusResult(
         count=int(prod.sum()),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -222,9 +222,9 @@ def residue_histogram(counts: np.ndarray, m: int) -> Histogram:
     if m < 1:
         raise ValueError("modulus must be positive")
     values = np.asarray(counts)
-    if values.size == 0:
-        return Histogram(m, (0,) * m)
-    tall = np.bincount(np.mod(values, m), minlength=m)
+    tall = np.zeros(m, dtype=np.int64)
+    for s in range(0, values.size, _SCAN_CHUNK):
+        tall += np.bincount(np.mod(values[s : s + _SCAN_CHUNK], m), minlength=m)
     return Histogram(m, tuple(int(c) for c in tall))
 
 
@@ -319,7 +319,9 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
     weight = 1
     for C in Cs:
         counts = window_counts(C, spec, threads=threads)
-        code += np.mod(counts, m) * weight
+        np.mod(counts, m, out=counts)
+        counts *= weight
+        code += counts
         weight *= m
     tall = np.bincount(code, minlength=m**k)
     return Histogram(m, tuple(int(c) for c in tall), k)
@@ -328,27 +330,41 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
 # ---------------------------------------------------------------- restricted rectangles
 
 
-def _power_multiset(C: Curve, rect: Rect) -> np.ndarray:
-    """Multiplicity of each field element among {y^ell : y in [y_lo, y_hi]}."""
+def _rect_fibers(C: Curve, rect: Rect) -> np.ndarray:
+    """#{y in [y_lo, y_hi] : y^ell = P(x)} for x in [x_lo, x_hi], capped at
+    2 (int8): callers only ask whether it is at least 1 or at least 2."""
     p = C.p
     if p > (1 << 27):
         raise ValueError("restricted scans limited to p <= 2^27 (multiset index memory)")
     ys = np.arange(rect.y_lo, rect.y_hi + 1, dtype=np.int64)
-    vals = pow_mod_vec(ys, C.ell, p)
-    return np.bincount(vals, minlength=p)
+    mult = np.bincount(pow_mod_vec(ys, C.ell, p), minlength=p)
+    out = np.empty(rect.x_size, dtype=np.int8)
+    for s in range(0, rect.x_size, _SCAN_CHUNK):
+        e = min(s + _SCAN_CHUNK, rect.x_size)
+        vals = C.P.eval_vec(np.arange(rect.x_lo + s, rect.x_lo + e, dtype=np.int64))
+        np.minimum(mult[vals], 2, out=out[s:e], casting="unsafe")
+    return out
+
+
+def _witness(rect: Rect, fibers: np.ndarray) -> int | None:
+    bad = np.flatnonzero(fibers >= 2)
+    return rect.x_lo + int(bad[0]) if bad.size else None
+
+
+def _star_fibers(C: Curve, rect: Rect) -> np.ndarray:
+    """_rect_fibers, after raising when the at-most-one-y condition fails."""
+    fibers = _rect_fibers(C, rect)
+    w = _witness(rect, fibers)
+    if w is not None:
+        raise HypothesisError("condition_star", f"x = {w} has more than one y in the rectangle")
+    return fibers
 
 
 def condition_star_witness(C: Curve, rect: Rect) -> int | None:
     """Smallest x in the rectangle's x-interval with two or more curve
     points (x, y), y in the y-interval; None when the condition holds."""
     rect.validate(C.p)
-    mult = _power_multiset(C, rect)
-    xs = np.arange(rect.x_lo, rect.x_hi + 1, dtype=np.int64)
-    vals = C.P.eval_vec(xs)
-    bad = np.nonzero(mult[vals] >= 2)[0]
-    if bad.size:
-        return int(xs[bad[0]])
-    return None
+    return _witness(rect, _rect_fibers(C, rect))
 
 
 def condition_star(C: Curve, rect: Rect) -> bool:
@@ -357,35 +373,27 @@ def condition_star(C: Curve, rect: Rect) -> bool:
     return condition_star_witness(C, rect) is None
 
 
-def _delta_values(C: Curve, rect: Rect, mult: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """delta(x) over [lo, hi]: 1 iff x lies in the x-interval and some y
-    in the y-interval has (x, y) on the curve."""
-    out = np.zeros(max(0, hi - lo + 1), dtype=np.int64)
-    a, b = max(lo, rect.x_lo), min(hi, rect.x_hi)
-    if a > b:
-        return out
-    xs = np.arange(a, b + 1, dtype=np.int64)
-    vals = C.P.eval_vec(xs)
-    out[a - lo : b - lo + 1] = mult[vals] >= 1
-    return out
-
-
 def delta_array(C: Curve, rect: Rect) -> np.ndarray:
     """The 0/1 membership indicator over the rectangle's x-interval."""
     rect.validate(C.p)
-    mult = _power_multiset(C, rect)
-    return _delta_values(C, rect, mult, rect.x_lo, rect.x_hi)
+    return (_rect_fibers(C, rect) >= 1).astype(np.int64)
 
 
 def restricted_window_counts(C: Curve, rect: Rect, spec: ScanSpec, threads: int = 1) -> np.ndarray:
     """Rectangle-restricted window counts; requires the at-most-one-y condition."""
     spec.validate(C.p)
     rect.validate(C.p)
-    w = condition_star_witness(C, rect)
-    if w is not None:
-        raise HypothesisError("condition_star", f"x = {w} has more than one y in the rectangle")
-    mult = _power_multiset(C, rect)
-    return _chunked_scan(lambda lo, hi: _delta_values(C, rect, mult, lo, hi), spec, threads)
+    fibers = _star_fibers(C, rect)
+
+    def delta(lo: int, hi: int) -> np.ndarray:
+        # delta(x) over [lo, hi]: 0 outside the x-interval
+        out = np.zeros(max(0, hi - lo + 1), dtype=np.int64)
+        a, b = max(lo, rect.x_lo), min(hi, rect.x_hi)
+        if a <= b:
+            out[a - lo : b - lo + 1] = fibers[a - rect.x_lo : b - rect.x_lo + 1] >= 1
+        return out
+
+    return _chunked_scan(delta, spec, threads)
 
 
 @dataclass

@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,10 +23,8 @@ __all__ = [
     "factorize",
     "primitive_root",
     "FieldSpec",
-    "CharValue",
     "Character",
     "character",
-    "char_value",
     "char_index",
     "char_indices",
     "char_index_table",
@@ -189,52 +186,14 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class CharValue:
-    """Value of a multiplicative character: zero, or a d-th root of unity.
-
-    index is None for the value at arguments divisible by p, otherwise the
-    exponent j with value = zeta_d^j.
-    """
-
-    index: int | None
-
-    @classmethod
-    def zero(cls) -> "CharValue":
-        return cls(index=None)
-
-    @classmethod
-    def unity(cls, j: int) -> "CharValue":
-        if j < 0:
-            raise ValueError("unity index must be nonnegative")
-        return cls(index=j)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.index is None
-
-
-class _LazyTable:
-    """A character's index table, built on first use under a lock so
-    concurrent workers build it once."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.table: np.ndarray | None = None
-
-    def get(self, chi: "Character") -> np.ndarray:
-        with self.lock:
-            if self.table is None:
-                self.table = char_index_table(chi)
-            return self.table
-
-
-@dataclass(frozen=True)
 class Character:
     """Multiplicative character of F_p^* of order d = gcd(ell, p-1).
 
     match_table[k] = g^(k * (p-1)/d); the character maps g^n to index n mod d.
-    The induced value at x is located by matching x^((p-1)/d) against the
-    table, and is zero when p divides x.
+    The induced value at x is located by matching x^((p-1)/d) against
+    match_table (index_of maps each entry back to k), and is zero when p
+    divides x.  For p <= 2**24 character() also stores the character's
+    char_index_table in table.
     """
 
     field: FieldSpec
@@ -242,15 +201,11 @@ class Character:
     d: int
     exponent: int
     match_table: tuple[int, ...]
-    _index_of: dict[int, int] = field(compare=False, repr=False, default_factory=dict)
-    _lazy: _LazyTable = field(compare=False, repr=False, init=False, default_factory=_LazyTable)
-
-    def __post_init__(self):
-        if not self._index_of:
-            self._index_of.update({v: k for k, v in enumerate(self.match_table)})
+    index_of: dict[int, int] = field(compare=False, repr=False)
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-# Each cached Character may hold an index table of up to 64 MB (see
+# Each cached Character holds an index table of up to 64 MB (see
 # _TABLE_LIMIT), so the cache itself holds at most 256 MB. A CLI command
 # uses one character; verify's criterion 5 cycles through three, and
 # other criteria through many small ones that are cheap to rebuild.
@@ -258,34 +213,38 @@ class Character:
 def character(fs: FieldSpec, ell: int) -> Character:
     """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
 
-    One Character per (field, ell) is shared by all callers, so its cached
-    index table serves every curve and call on that field.
+    One Character per (field, ell) is shared by all callers, so its index
+    table, built here for p <= 2**24, serves every curve and call on that
+    field and is only read afterwards.
     """
     if ell < 2:
         raise ValueError("character order parameter must be at least 2")
     d = math.gcd(ell, fs.p - 1)
     exponent = (fs.p - 1) // d
-    table = tuple(pow(fs.g, k * exponent, fs.p) for k in range(d))
-    if len(set(table)) != d:
+    roots = tuple(pow(fs.g, k * exponent, fs.p) for k in range(d))
+    index_of = {v: k for k, v in enumerate(roots)}
+    if len(index_of) != d:
         raise ArithmeticError("match table entries collide; field spec is invalid")
-    return Character(field=fs, ell=ell, d=d, exponent=exponent, match_table=table)
-
-
-def char_value(chi: Character, x: int) -> CharValue:
-    """chi evaluated at x, as zero or a root-of-unity index."""
-    p = chi.field.p
-    if x % p == 0:
-        return CharValue.zero()
-    t = pow(x % p, chi.exponent, p)
-    j = chi._index_of.get(t)
-    if j is None:
-        raise ArithmeticError(f"x^((p-1)/d) = {t} not a d-th root of unity mod {p}")
-    return CharValue.unity(j)
+    chi = Character(
+        field=fs, ell=ell, d=d, exponent=exponent, match_table=roots, index_of=index_of
+    )
+    if fs.p <= _TABLE_LIMIT:
+        table = char_index_table(chi)
+        table.flags.writeable = False
+        chi = replace(chi, table=table)
+    return chi
 
 
 def char_index(chi: Character, x: int) -> int | None:
     """Root-of-unity index of chi(x), or None when p divides x."""
-    return char_value(chi, x).index
+    p = chi.field.p
+    if x % p == 0:
+        return None
+    t = pow(x % p, chi.exponent, p)
+    j = chi.index_of.get(t)
+    if j is None:
+        raise ArithmeticError(f"x^((p-1)/d) = {t} not a d-th root of unity mod {p}")
+    return j
 
 
 def _index_dtype(d: int) -> type:
@@ -295,19 +254,17 @@ def _index_dtype(d: int) -> type:
 def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     """Vectorized char_index; zero values are encoded as -1.
 
-    For p <= 2**24 and integer input the indices are read from the
-    character's char_index_table, built on the first such call and kept
-    with the character; otherwise they come from the power map. Both
+    Integer input is read from the character's table when it has one
+    (p <= 2**24); otherwise the indices come from the power map. Both
     paths return the table's dtype.
     """
     p = chi.field.p
     xs = np.asarray(xs)
-    if p > _TABLE_LIMIT or xs.dtype.kind not in "iu":
+    if chi.table is None or xs.dtype.kind not in "iu":
         return _char_indices_pow(chi, xs)
-    table = chi._lazy.get(chi)
     if xs.size and (xs.min() < 0 or xs.max() >= p):
         xs = np.mod(xs, p)
-    return table[xs]
+    return chi.table[xs]
 
 
 def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
@@ -318,7 +275,7 @@ def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
     t = pow_mod_vec(xs, chi.exponent, p)
     if t.dtype == object:
         flat = np.array(
-            [-1 if x % p == 0 else chi._index_of[v] for x, v in zip(xs.ravel(), t.ravel())],
+            [-1 if x % p == 0 else chi.index_of[v] for x, v in zip(xs.ravel(), t.ravel())],
             dtype=dtype,
         )
         return flat.reshape(xs.shape)

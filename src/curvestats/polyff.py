@@ -77,9 +77,14 @@ class Poly:
         if self.p > _INT64_MOD_LIMIT:
             flat = [self(int(x)) for x in xs.ravel()]
             return np.array(flat, dtype=object).reshape(xs.shape)
-        x = np.mod(xs, self.p).astype(np.int64)
-        acc = np.zeros_like(x)
-        for c in reversed(self.coeffs):
+        if np.can_cast(xs.dtype, np.int64):
+            x = np.mod(xs, self.p, dtype=np.int64)
+        else:  # uint64 (values past 2^63 would wrap), float or object input
+            x = np.mod(xs, self.p).astype(np.int64)
+        if not self.coeffs:
+            return np.zeros_like(x)
+        acc = np.full_like(x, self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
             np.multiply(acc, x, out=acc)
             acc += c
             np.mod(acc, self.p, out=acc)

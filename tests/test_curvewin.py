@@ -179,7 +179,7 @@ def test_degenerate_scans_on_the_table_path():
         fs = _field(p)
         C = curve(fs, int(rng.choice([2, 3, 4])), _random_poly(rng, p, 3))
         fib = fiber_array(C, 0, p - 1)
-        assert C.chi._lazy.table is not None
+        assert C.chi.table is not None
         if p < 100:
             assert fib.tolist() == [fiber_count(C, x) for x in range(p)]
         I = 0 if rng.random() < 0.5 else int(rng.integers(0, p))
@@ -466,11 +466,22 @@ def test_short_scan_chunks_change_no_result(monkeypatch):
     spec = ScanSpec(3, 900, 50)
     direct = window_counts_direct(C, spec)
     single = restricted_window_counts(C, rect, spec)
+    hist = residue_histogram(direct, 5)
+    delta = delta_array(C, rect)
+    # every nonzero square has two roots; the first one past 770 is 777,
+    # in the second chunk of 7
+    bad = Rect(770, 1008, 1, 1008)
+    witness = min(x for x in range(770, 1009) if legendre(x, 1009) == 1)
+    assert witness == 777
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
     assert len(curvewin._scan_chunks(spec.scan_len, 1)) == 129
     for threads in (1, 2):
         assert np.array_equal(window_counts(C, spec, threads=threads), direct)
         assert np.array_equal(restricted_window_counts(C, rect, spec, threads=threads), single)
+    assert residue_histogram(direct, 5) == hist
+    chunked = delta_array(C, rect)
+    assert chunked.dtype == np.int64 and np.array_equal(chunked, delta)
+    assert condition_star_witness(C, bad) == witness
 
 
 # ---------------------------------------------------------------- beta residues

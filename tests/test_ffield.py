@@ -14,7 +14,6 @@ from curvestats.ffield import (
     char_index,
     char_index_table,
     char_indices,
-    char_value,
     character,
     factorize,
     is_prime,
@@ -182,11 +181,11 @@ def test_character_gcd_order():
 def test_char_value_examples():
     fs = FieldSpec.from_prime(7)
     chi2 = character(fs, 2)
-    assert char_value(chi2, 2).index == 0  # squares mod 7 are {1, 2, 4}
-    assert char_value(chi2, 3).index == 1
+    assert char_index(chi2, 2) == 0  # squares mod 7 are {1, 2, 4}
+    assert char_index(chi2, 3) == 1
     chi3 = character(fs, 3)
-    assert char_value(chi3, 0).is_zero
     assert char_index(chi3, 0) is None
+    assert char_index(chi3, 7) is None
 
 
 def test_char_multiplicativity_exhaustive():
@@ -217,7 +216,7 @@ def test_ellth_powers_are_residues():
     for p, ell in [(13, 3), (31, 5), (29, 4), (101, 2)]:
         chi = character(FieldSpec.from_prime(p), ell)
         for y in range(1, p):
-            assert char_value(chi, pow(y, ell, p)).index == 0
+            assert char_index(chi, pow(y, ell, p)) == 0
 
 
 def test_legendre_examples():
@@ -230,12 +229,12 @@ def test_legendre_agrees_with_quadratic_character():
     for p in [q for q in range(3, 501) if is_prime(q)]:
         chi = character(FieldSpec.from_prime(p), 2)
         for a in range(p):
-            v = char_value(chi, a)
+            j = char_index(chi, a)
             sym = legendre(a, p)
-            if v.is_zero:
+            if j is None:
                 assert sym == 0
             else:
-                assert sym == (1 if v.index == 0 else -1)
+                assert sym == (1 if j == 0 else -1)
 
 
 def test_char_indices_agrees_with_table_and_scalar():
@@ -267,7 +266,7 @@ def test_char_indices_table_path_matches_power_map():
             xs = rng.integers(-3 * p, 3 * p, size=n)
             xs[: n // 8] = rng.integers(-3, 4, size=n // 8) * p  # zeros mod p
             got = char_indices(chi, xs)
-            assert chi._lazy.table is not None
+            assert chi.table is not None
             assert character(fs, ell) is chi
             want = ffield._char_indices_pow(chi, xs)
             assert got.dtype == want.dtype
@@ -276,14 +275,25 @@ def test_char_indices_table_path_matches_power_map():
 
 @pytest.mark.parametrize("p,dtype", [(16777259, np.int64), (10009, object)])
 def test_char_indices_without_table(p, dtype, monkeypatch):
-    # any call above 2^24 and object input use the power map
-    monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("table built"))
+    # any call above 2^24 and object input use the power map; above 2^24
+    # the character has no table at all
+    calls = []
+    pow_path = ffield._char_indices_pow
+
+    def counted(chi, xs):
+        calls.append(len(xs))
+        return pow_path(chi, xs)
+
+    if p > 1 << 24:
+        monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("table built"))
+    monkeypatch.setattr(ffield, "_char_indices_pow", counted)
     character.cache_clear()
     chi = character(FieldSpec.from_prime(p), 2)
+    assert (chi.table is None) == (p > 1 << 24)
     n = 1000
     xs = np.arange(p - n, p, dtype=np.int64).astype(dtype)
     got = char_indices(chi, xs)
-    assert chi._lazy.table is None
+    assert calls == [n]
     for i in np.linspace(0, n - 1, 10).astype(np.int64):
         assert got[i] == char_index(chi, int(xs[i]))
 

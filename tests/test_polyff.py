@@ -53,6 +53,24 @@ def test_eval_vec_matches_scalar():
         xs = np.arange(p)
         vec = P.eval_vec(xs)
         assert [int(v) for v in vec] == [P(x) for x in range(p)]
+    # inputs outside [0, p), other integer dtypes, the zero and constant
+    # polynomials, and a modulus on the object path
+    for p in (3, 101, 997, 4294967311):
+        xs = np.arange(-3 * p, 3 * p, max(1, p // 50), dtype=np.int64)
+        big = np.array([0, p - 1, p, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        inputs = [(xs, xs.tolist()), (big, big.tolist())]
+        if p < 2**31:
+            nonneg = xs[xs >= 0]
+            inputs += [
+                (xs.astype(np.int32), xs.tolist()),
+                (nonneg.astype(np.uint32), nonneg.tolist()),
+                (nonneg.astype(np.uint64), nonneg.tolist()),
+            ]
+        for P in (random_poly(rng, p, 6), poly((), p), constant(rng.randrange(1, p), p)):
+            for arr, ints in inputs:
+                vec = P.eval_vec(arr)
+                assert vec.dtype == (object if p > 2**32 else np.int64)
+                assert [int(v) for v in vec] == [P(x) for x in ints]
 
 
 def test_arithmetic_roundtrip():
