@@ -77,10 +77,7 @@ class Poly:
         if self.p > _INT64_MOD_LIMIT:
             flat = [self(int(x)) for x in xs.ravel()]
             return np.array(flat, dtype=object).reshape(xs.shape)
-        if np.can_cast(xs.dtype, np.int64):
-            x = np.mod(xs, self.p, dtype=np.int64)
-        else:  # uint64 (values past 2^63 would wrap), float or object input
-            x = np.mod(xs, self.p).astype(np.int64)
+        x = np.mod(xs, self.p).astype(np.int64, copy=False)
         if not self.coeffs:
             return np.zeros_like(x)
         acc = np.full_like(x, self.coeffs[-1])
