@@ -383,7 +383,12 @@ def restricted_window_counts(C: Curve, rect: Rect, spec: ScanSpec, threads: int 
     """Rectangle-restricted window counts; requires the at-most-one-y condition."""
     spec.validate(C.p)
     rect.validate(C.p)
-    fibers = _star_fibers(C, rect)
+    return _restricted_scan(rect, _star_fibers(C, rect), spec, threads)
+
+
+def _restricted_scan(rect: Rect, fibers: np.ndarray, spec: ScanSpec, threads: int) -> np.ndarray:
+    """restricted_window_counts' scan, over the rectangle's _rect_fibers
+    once they have passed the at-most-one-y condition."""
 
     def delta(lo: int, hi: int) -> np.ndarray:
         # delta(x) over [lo, hi]: 0 outside the x-interval
@@ -666,7 +671,9 @@ def experiment_thm3(
     p = C.p
     rect.validate(p)
     L, geom = _geometry_checks(p, spec)
-    witness = condition_star_witness(C, rect)
+    # one fiber pass serves the condition_star hypothesis and the scan
+    fibers = _rect_fibers(C, rect)
+    witness = _witness(rect, fibers)
     alpha = Fraction(rect.y_size, p)
     limit = math.log(p) / (2 * math.log(math.log(p))) if p > 15 else float("inf")
     checks = [
@@ -685,6 +692,11 @@ def experiment_thm3(
             fatal=False,
         ),
     ]
+
+    def count() -> Histogram:
+        spec.validate(p)
+        return residue_histogram(_restricted_scan(rect, fibers, spec, threads), m)
+
     return _experiment(
         "thm3", spec, trials, seed, blocks, checks,
         {
@@ -693,7 +705,7 @@ def experiment_thm3(
             "y_lo": rect.y_lo, "y_hi": rect.y_hi,
             "alpha": float(alpha),
         },
-        lambda: residue_histogram(restricted_window_counts(C, rect, spec, threads=threads), m),
+        count,
         4 * m**4 / L,
         lambda nb: model_reference_bernoulli(alpha, m, L, nb, trials, seed, threads=threads),
     )

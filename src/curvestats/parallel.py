@@ -10,8 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def run_indexed(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], on a pool of `threads` workers when threads > 1."""
-    if threads <= 1:
+    """[fn(0), ..., fn(n - 1)], split into at most `threads` contiguous
+    blocks of items, one task per worker, when threads > 1 and n > 1."""
+    workers = min(threads, n)
+    if workers <= 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n)))
+    bounds = [w * n // workers for w in range(workers + 1)]
+
+    def block(w: int) -> list:
+        return [fn(i) for i in range(bounds[w], bounds[w + 1])]
+
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return [r for part in ex.map(block, range(workers)) for r in part]

@@ -737,11 +737,26 @@ def test_model_size_rejected_before_the_scan(trials, blocks, monkeypatch):
         experiment_thm1(C, _spec10007(), m=3, trials=trials, seed=1, blocks=blocks)
 
 
-def test_thm3_report_regression():
+def _count_rect_fibers(monkeypatch) -> list:
+    calls = []
+    inner = curvewin._rect_fibers
+
+    def counted(C, rect):
+        calls.append(rect)
+        return inner(C, rect)
+
+    monkeypatch.setattr(curvewin, "_rect_fibers", counted)
+    return calls
+
+
+def test_thm3_report_regression(monkeypatch):
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
     rect = Rect(0, 10006, 1, 5003)
+    calls = _count_rect_fibers(monkeypatch)
     rep = experiment_thm3(C, rect, _spec10007(), m=3, trials=50, seed=7)
+    # the condition_star hypothesis and the scan share one fiber pass
+    assert calls == [rect]
     assert rep.discrepancy == THM3_DISC
     assert rep.bound == pytest.approx(4 * 81 / 10)
     assert rep.bound_pass
@@ -751,10 +766,12 @@ def test_thm3_report_regression():
     assert "condition_star" in names and "block_len_regime_thm3" in names
 
 
-def test_thm3_condition_violation_named():
+def test_thm3_condition_violation_named(monkeypatch):
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
     rect = Rect(0, 10006, 0, 10006)
+    calls = _count_rect_fibers(monkeypatch)
     with pytest.raises(HypothesisError) as exc:
         experiment_thm3(C, rect, _spec10007(), m=3, trials=10, seed=1)
     assert exc.value.name == "condition_star"
+    assert calls == [rect]

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +19,7 @@ from curvestats.rwalk import (
     _pair_sum,
     _power_steps,
     _prefix_sums,
+    _trial_gen,
     exact_prop21a,
     exact_prop21b,
     exact_prop21c,
@@ -125,6 +129,58 @@ def test_trial_rng_reproducible_and_distinct():
     assert (a == b).all()
     assert not (a == c).all()
     assert not (a == d).all()
+
+
+STREAM_SEEDS = [0, 7, -1, 2**63 + 5]
+STREAM_TRIALS = [0, 1, 499, 2**32, 2**64 + 3]
+
+
+def _draws(gen):
+    probs = np.array([0.1, 0.25, 0.05, 0.6])
+    return [
+        gen.multinomial(1000, probs),
+        gen.integers(0, 3, size=7),
+        gen.random(5),
+        gen.multinomial(37, probs[::-1]),
+    ]
+
+
+def _same_draws(a, b) -> bool:
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def test_trial_gen_matches_fresh_trial_rng():
+    # trial_rng defines the streams; _trial_gen re-keys one generator per thread
+    for seed in STREAM_SEEDS:
+        for trial in STREAM_TRIALS:
+            assert _same_draws(_draws(_trial_gen(seed, trial)), _draws(trial_rng(seed, trial)))
+            # an odd number of small draws leaves half a 64-bit word buffered
+            fresh = trial_rng(seed, trial)
+            fresh.integers(0, 2, size=5)
+            assert fresh.bit_generator.state["has_uint32"] == 1
+            _trial_gen(seed, trial).integers(0, 2, size=5)
+            assert _same_draws(_draws(_trial_gen(seed, trial + 1)), _draws(trial_rng(seed, trial + 1)))
+
+
+def test_trial_gen_streams_from_two_threads():
+    keys = [(seed, trial) for seed in STREAM_SEEDS for trial in range(60)]
+    want = [_draws(trial_rng(seed, trial)) for seed, trial in keys]
+    start = threading.Barrier(2, timeout=10)
+
+    def worker(order) -> list:
+        start.wait()
+        return [i for i in order if not _same_draws(_draws(_trial_gen(*keys[i])), want[i])]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            # the two workers walk the keys in opposite orders
+            orders = (range(len(keys)), range(len(keys) - 1, -1, -1))
+            futures = [ex.submit(worker, order) for order in orders]
+            assert [f.result(timeout=60) for f in futures] == [[], []]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_walk_steps_support_and_one_step_law():
@@ -375,9 +431,46 @@ def test_model_quantile_stability_under_doubling():
 
 
 def test_model_thread_determinism():
-    a = model_reference(2, 3, 5, blocks=3000, trials=100, seed=9, threads=1)
-    b = model_reference(2, 3, 5, blocks=3000, trials=100, seed=9, threads=4)
-    assert np.array_equal(a.discrepancies, b.discrepancies)
+    # fewer trials than threads, and trials that split unevenly over threads
+    for trials, threads in [(100, 4), (3, 4), (7, 2), (7, 3)]:
+        a = model_reference(2, 3, 5, blocks=3000, trials=trials, seed=9, threads=1)
+        b = model_reference(2, 3, 5, blocks=3000, trials=trials, seed=9, threads=threads)
+        assert np.array_equal(a.discrepancies, b.discrepancies)
+
+
+@pytest.mark.parametrize("m,k,L", [(3, 1, 5), (100, 1, 3), (3, 2, 3)])
+def test_model_matches_per_trial_streams(m, k, L):
+    # each trial's discrepancy, computed alone from a fresh trial_rng stream
+    blocks, trials, seed = 400, 9, 2**63 + 5
+    types, probs = _block_type_distribution(_power_steps(2, m, k), m, k, L)
+    probs = probs / probs.sum()
+    want = [
+        float((((trial_rng(seed, t).multinomial(blocks, probs) @ types) / (blocks * L) - 1 / m**k) ** 2).sum())
+        for t in range(trials)
+    ]
+    got = model_reference_joint(2, m, L, k, blocks=blocks, trials=trials, seed=seed, threads=2)
+    assert got.discrepancies.tolist() == want
+
+
+def test_model_matches_direct_block_walks():
+    # the multinomial over block types stands for N independent L-step walks
+    # from uniform starts; simulate those walks directly from walk_steps
+    ell, m, L, blocks, trials = 2, 3, 4, 200, 400
+    model = model_reference(ell, m, L, blocks=blocks, trials=trials, seed=21).discrepancies
+    cfg = WalkConfig(ell=ell, m=m, L=blocks * L, trials=trials, seed=22)
+    starts = np.random.default_rng(23).integers(0, m, size=(trials, blocks, 1))
+    direct = np.empty(trials)
+    for t in range(trials):
+        z = (starts[t] + np.cumsum(walk_steps(cfg, t).reshape(blocks, L), axis=1)) % m
+        phi = np.bincount(z.ravel(), minlength=m) / (blocks * L)
+        direct[t] = ((phi - 1 / m) ** 2).sum()
+    # a discrepancy is close to a scaled chi-square with m - 1 = 2 degrees of
+    # freedom (an exponential); over 400 trials the mean has a relative
+    # standard error of about 5%, the median and q95 about 7%, so 7% and 10%
+    # for the difference of two samples; each tolerance is 3 to 3.5 of those
+    assert direct.mean() == pytest.approx(model.mean(), rel=0.20)
+    for q, rel in ((0.5, 0.30), (0.95, 0.35)):
+        assert np.quantile(direct, q) == pytest.approx(np.quantile(model, q), rel=rel)
 
 
 def test_model_discrepancies_scale_with_blocks():
