@@ -651,7 +651,13 @@ def build_parser() -> argparse.ArgumentParser:
 _NON_CONFIG_KEYS = {"command", "config"}
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _int_fields(parser: argparse.ArgumentParser, command: str) -> set[str]:
+    """The fields the command's parser declares with type=int."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.type is int}
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
     path = getattr(args, "config", None)
     if path:
@@ -664,15 +670,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file is not valid JSON: {e}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
+        ints = _int_fields(parser, args.command)
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise UsageError(
                     f"unknown config field '{key}' for command '{args.command}'"
                 )
+            if key in ints and value is not None and type(value) is not int:
+                raise UsageError(f"config field '{key}' must be an integer, not {json.dumps(value)}")
             if cfg[key] is None:
                 cfg[key] = value
     if cfg.get("threads") is None:
         cfg["threads"] = 1
+    if cfg["threads"] < 1:
+        raise UsageError(f"threads must be at least 1, not {cfg['threads']}")
     if "trials" in cfg and cfg["trials"] is None:
         cfg["trials"] = 500
     if "format" in cfg and cfg["format"] is None:
@@ -687,7 +698,7 @@ def run(argv) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser)
         handler = _COMMANDS[args.command]
         start = time.perf_counter()
         results, checks = handler(cfg)

@@ -287,6 +287,39 @@ def _chunked_scan(values_for, spec: ScanSpec, threads: int) -> np.ndarray:
     return out
 
 
+def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
+    """Histogram of the window-sum vectors (N_0, ..., N_{k-1}) mod m, one
+    sum N_i per value function, by cell code sum (N_i mod m) m^i.
+
+    Each chunk of _scan_chunks is reduced to its m^k tallies, which are
+    summed in index order, so no full-length count array is ever held.
+    """
+    I = spec.window_len
+    k = len(values_fors)
+    chunks = _scan_chunks(spec.scan_len, threads)
+
+    def one(i: int) -> np.ndarray:
+        s0, s1 = chunks[i]
+        lo, hi = spec.x_start + s0 + 1, spec.x_start + s1 - 1 + I
+        code = None
+        # Horner over the value functions, last first
+        for values_for in reversed(values_fors):
+            counts = np.empty(s1 - s0, dtype=np.int64)
+            _counts_from_values(values_for(lo, hi), I, counts)
+            np.mod(counts, m, out=counts)
+            if code is None:
+                code = counts
+            else:
+                code *= m
+                code += counts
+        return np.bincount(code, minlength=m**k)
+
+    tall = np.zeros(m**k, dtype=np.int64)
+    for t in run_indexed(one, len(chunks), threads):
+        tall += t
+    return Histogram(m, tuple(int(c) for c in tall), k)
+
+
 def window_counts(C: Curve, spec: ScanSpec, threads: int = 1) -> np.ndarray:
     """N(x0, I) for x0 in [x_start, x_start + scan_len)."""
     spec.validate(C.p)
@@ -315,16 +348,8 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
         raise ValueError("curves must share one field and one ell")
     if m**k > _JOINT_CELL_LIMIT:
         raise ValueError("joint cell space m^k is too large")
-    code = np.zeros(spec.scan_len, dtype=np.int64)
-    weight = 1
-    for C in Cs:
-        counts = window_counts(C, spec, threads=threads)
-        np.mod(counts, m, out=counts)
-        counts *= weight
-        code += counts
-        weight *= m
-    tall = np.bincount(code, minlength=m**k)
-    return Histogram(m, tuple(int(c) for c in tall), k)
+    spec.validate(Cs[0].p)
+    return _tally_scan([lambda lo, hi, C=C: fiber_array(C, lo, hi) for C in Cs], spec, m, threads)
 
 
 # ---------------------------------------------------------------- restricted rectangles
@@ -383,12 +408,12 @@ def restricted_window_counts(C: Curve, rect: Rect, spec: ScanSpec, threads: int 
     """Rectangle-restricted window counts; requires the at-most-one-y condition."""
     spec.validate(C.p)
     rect.validate(C.p)
-    return _restricted_scan(rect, _star_fibers(C, rect), spec, threads)
+    return _chunked_scan(_delta_values(rect, _star_fibers(C, rect)), spec, threads)
 
 
-def _restricted_scan(rect: Rect, fibers: np.ndarray, spec: ScanSpec, threads: int) -> np.ndarray:
-    """restricted_window_counts' scan, over the rectangle's _rect_fibers
-    once they have passed the at-most-one-y condition."""
+def _delta_values(rect: Rect, fibers: np.ndarray):
+    """The scan value function of a restricted scan, over the rectangle's
+    _rect_fibers once they have passed the at-most-one-y condition."""
 
     def delta(lo: int, hi: int) -> np.ndarray:
         # delta(x) over [lo, hi]: 0 outside the x-interval
@@ -398,7 +423,7 @@ def _restricted_scan(rect: Rect, fibers: np.ndarray, spec: ScanSpec, threads: in
             out[a - lo : b - lo + 1] = fibers[a - rect.x_lo : b - rect.x_lo + 1] >= 1
         return out
 
-    return _chunked_scan(delta, spec, threads)
+    return delta
 
 
 @dataclass
@@ -597,10 +622,15 @@ def experiment_thm1(
         *geom,
         _regime_check(L, p, C.P.degree),
     ]
+
+    def count() -> Histogram:
+        spec.validate(p)
+        return _tally_scan([lambda lo, hi: fiber_array(C, lo, hi)], spec, m, threads)
+
     return _experiment(
         "thm1", spec, trials, seed, blocks, checks,
         {"p": p, "ell": ell, "m": m, "poly": list(C.P.coeffs)},
-        lambda: residue_histogram(window_counts(C, spec, threads=threads), m),
+        count,
         7 * m**3 * ell**2 / L,
         lambda nb: model_reference(ell, m, L, nb, trials, seed, threads=threads),
     )
@@ -695,7 +725,7 @@ def experiment_thm3(
 
     def count() -> Histogram:
         spec.validate(p)
-        return residue_histogram(_restricted_scan(rect, fibers, spec, threads), m)
+        return _tally_scan([_delta_values(rect, fibers)], spec, m, threads)
 
     return _experiment(
         "thm3", spec, trials, seed, blocks, checks,

@@ -72,19 +72,46 @@ class Poly:
         return acc
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Horner evaluation over an array, int64 fast path for safe moduli."""
+        """Horner evaluation over an array, int64 fast path for safe moduli.
+
+        int64 input already in [0, p) is read as is.  The accumulator is
+        reduced only when a bound on its entries says the next acc*x + c
+        could reach 2^63, and once at the end.
+        """
         xs = np.asarray(xs)
-        if self.p > _INT64_MOD_LIMIT:
+        p = self.p
+        if p > _INT64_MOD_LIMIT:
             flat = [self(int(x)) for x in xs.ravel()]
             return np.array(flat, dtype=object).reshape(xs.shape)
-        x = np.mod(xs, self.p).astype(np.int64, copy=False)
-        if not self.coeffs:
-            return np.zeros_like(x)
-        acc = np.full_like(x, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            np.multiply(acc, x, out=acc)
+        if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
+            # numpy >= 2 will not take a p above the dtype's range as a scalar
+            xs = xs.astype(np.int64)
+        # negative int64 entries read as uint64 values above p
+        if xs.dtype == np.int64 and (xs.size == 0 or int(xs.view(np.uint64).max()) < p):
+            x = xs
+        else:
+            x = np.mod(xs, p).astype(np.int64, copy=False)
+        if len(self.coeffs) < 2:
+            return np.full_like(x, self.coeffs[0] if self.coeffs else 0)
+        lead, c, *rest = reversed(self.coeffs)
+        acc = np.empty_like(x)
+        if lead == 1:
+            np.add(x, c, out=acc)
+        else:
+            np.multiply(x, lead, out=acc)
             acc += c
-            np.mod(acc, self.p, out=acc)
+        top = p - 1
+        bound = lead * top + c
+        for c in rest:
+            if bound * top + c >= 1 << 63:
+                np.mod(acc, p, out=acc)
+                bound = top
+            np.multiply(acc, x, out=acc)
+            if c:
+                acc += c
+            bound = bound * top + c
+        if bound >= p:
+            np.mod(acc, p, out=acc)
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":

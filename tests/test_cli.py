@@ -255,6 +255,30 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus_field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", "3"), ("m", 3.0), ("threads", "2"), ("threads", 1.5), ("threads", True), ("seed", [7]),
+])
+def test_config_value_of_wrong_type_exits_2(field, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    flag = PHI_ARGS.index(f"--{field}") if f"--{field}" in PHI_ARGS else len(PHI_ARGS)
+    code = cli.run([*PHI_ARGS[:flag], *PHI_ARGS[flag + 2 :], "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}' must be an integer" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(threads, tmp_path, capsys):
+    assert cli.run([*PHI_ARGS, "--threads", threads]) == 2
+    assert f"threads must be at least 1, not {threads}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": int(threads)}))
+    assert cli.run([*PHI_ARGS, "--config", str(cfg)]) == 2
+    assert f"threads must be at least 1, not {threads}" in capsys.readouterr().err
+
+
 def test_canonical_json_is_sorted_and_compact():
     text = cli.canonical_json({"b": 1, "a": [1, 2]})
     assert text == '{"a":[1,2],"b":1}'

@@ -7,6 +7,7 @@ this module once and checked exactly thereafter.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,60 @@ def test_short_scan_chunks_change_no_result(monkeypatch):
     assert condition_star_witness(C, bad) == witness
 
 
+
+def _tally_oracle(counts, m) -> dict:
+    """Nonzero joint residue tallies of per-window count arrays, by brute force."""
+    return dict(Counter(zip(*((c % m).tolist() for c in counts))))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tally_scan_in_short_chunks(threads, monkeypatch):
+    p = 1009
+    fs = _field(p)
+    Cs = [curve(fs, 2, P) for P in (x_poly(p), poly([1, 1, 0, 1], p), poly([3, 0, 1], p))]
+    rect = Rect(0, p - 1, 1, 504)  # y^2 = x has at most one y in [1, 504]
+    delta = delta_array(Cs[0], rect)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    fibers = curvewin._rect_fibers(Cs[0], rect)
+    # (spec, m, k): k = 1, 2, 3, m = 1, I = 0 and scan_len = 1
+    cases = [
+        (ScanSpec(3, 900, 50), 5, 1),
+        (ScanSpec(3, 900, 50), 3, 2),
+        (ScanSpec(0, 500, 20), 2, 3),
+        (ScanSpec(3, 900, 50), 1, 2),
+        (ScanSpec(10, 40, 0), 3, 1),
+        (ScanSpec(10, 40, 0), 2, 3),
+        (ScanSpec(100, 1, 9), 3, 3),
+        (ScanSpec(100, 1, 9), 4, 1),
+    ]
+    for spec, m, k in cases:
+        direct = [window_counts_direct(C, spec) for C in Cs[:k]]
+        jh = joint_histogram(Cs[:k], spec, m, threads=threads)
+        assert jh.total == spec.scan_len
+        assert {a: c for a, c in jh.as_dict().items() if c} == _tally_oracle(direct, m)
+        if k == 1:
+            assert jh == residue_histogram(direct[0], m)
+        starts = range(spec.x_start, spec.x_start + spec.scan_len)
+        restricted = np.array([delta[x0 + 1 : x0 + 1 + spec.window_len].sum() for x0 in starts])
+        tallied = curvewin._tally_scan([curvewin._delta_values(rect, fibers)], spec, m, threads)
+        assert tallied == residue_histogram(restricted, m)
+    # the experiment drivers run the same tallies
+    spec = ScanSpec(3, 900, 50, block_len=5)
+    rep = experiment_thm1(Cs[1], spec, m=3, trials=5, seed=1, threads=threads)
+    assert rep.histogram == residue_histogram(window_counts_direct(Cs[1], spec), 3)
+    rep = experiment_thm3(Cs[0], rect, spec, m=3, trials=5, seed=1, threads=threads)
+    restricted = np.array([delta[x0 + 1 : x0 + 51].sum() for x0 in range(3, 903)])
+    assert rep.histogram == residue_histogram(restricted, 3)
+
+
+def test_tally_scan_at_the_benchmark_field():
+    # ten full chunks, and x^3 + x + 1 reduces once inside Horner at this p
+    p = 10000019
+    C = curve(_field(p), 2, poly([1, 1, 0, 1], p))
+    hist = joint_histogram([C], ScanSpec.full(p, 50, 5), 3)
+    assert hist.counts == (3331645, 3333795, 3334524)
+
+
 # ---------------------------------------------------------------- beta residues
 
 
@@ -730,7 +785,7 @@ def test_infeasible_model_is_recorded_not_raised():
 
 @pytest.mark.parametrize("trials, blocks", [(0, None), (5, 0)])
 def test_model_size_rejected_before_the_scan(trials, blocks, monkeypatch):
-    monkeypatch.setattr(curvewin, "window_counts", lambda *a, **k: pytest.fail("scan ran"))
+    monkeypatch.setattr(curvewin, "fiber_array", lambda *a, **k: pytest.fail("scan ran"))
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
     with pytest.raises(ValueError, match="trials and blocks"):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from curvestats import cli
+from curvestats import cli, curvewin
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -88,6 +88,19 @@ def render(argv) -> str:
 def test_golden_report(case):
     name, argv = CASES[case]
     assert render(argv) == (GOLDEN / name).read_text()
+
+
+# the scanning cases again, over many short chunks (97 windows, a prime, so
+# chunk edges fall at no window or block boundary)
+SCANS = {"phi": ("phi.json", PHI), "joint": ("joint.json", JOINT), "restricted": CASES["restricted"]}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", list(SCANS))
+def test_golden_report_in_short_chunks(case, threads, monkeypatch):
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 97)
+    name, argv = SCANS[case]
+    assert render(argv + ["--threads", threads]) == (GOLDEN / name).read_text()
 
 
 if __name__ == "__main__":

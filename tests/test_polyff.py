@@ -73,6 +73,47 @@ def test_eval_vec_matches_scalar():
                 assert [int(v) for v in vec] == [P(x) for x in ints]
 
 
+def test_eval_vec_bound_tracking_matches_scalar():
+    import numpy as np
+
+    from curvestats.ffield import _INT64_MOD_LIMIT
+
+    # the tracked accumulator bound decides where Horner reduces; these
+    # moduli put (p - 1) * p right under 2^63 or let several steps pass, and
+    # at 1449, 1448^6 < 2^63 <= 1448^6 + 1448^5, so with every coefficient
+    # p - 1 only the bound's constant terms call for the reduction
+    largest = next(q for q in range(_INT64_MOD_LIMIT, 0, -1) if is_prime(q))
+    assert largest == 3037000493
+    rng = random.Random(12)
+    for p in (_INT64_MOD_LIMIT, largest, 8388593, 1449):
+        top = p - 1
+        inside = np.array([0, top, 1, top - 1] + [rng.randrange(p) for _ in range(12)])
+        outside = np.array([-1, -top, p, 2 * p + 3, -(2**62), 2**63 - 1, -(2**63)])
+        negative = np.array([-1, 0, top, -top, -(2**63)])  # below p, not all in [0, p)
+        small = [0, 1, -1, 2**31 - 1, -(2**31)] + [rng.randrange(-(2**31), 2**31) for _ in range(8)]
+        huge = np.array([2**63, 2**63 + p, 2**64 - 1, 0, top], dtype=np.uint64)
+        inputs = [
+            inside.astype(np.int64),
+            outside.astype(np.int64),
+            negative.astype(np.int64),
+            np.array(small, dtype=np.int32),
+            np.array(small[:4], dtype=np.int32).astype(np.uint32),
+            huge,
+            np.zeros(0, dtype=np.int64),
+            np.array(top, dtype=np.int64),
+        ]
+        for deg in range(1, 9):
+            low = [rng.randrange(p) for _ in range(deg)]
+            for cs in (low + [1], low + [top], [top] * (deg + 1)):
+                P = poly(cs, p)
+                for xs in inputs:
+                    before = xs.copy()
+                    vec = P.eval_vec(xs)
+                    assert vec.dtype == np.int64 and vec.shape == xs.shape
+                    assert vec.ravel().tolist() == [P(int(x)) for x in xs.ravel()]
+                    assert np.array_equal(xs, before)
+
+
 def test_arithmetic_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
