@@ -182,20 +182,12 @@ def emit(report: dict, fmt: str, path: str | None, duration: float) -> None:
 # ---------------------------------------------------------------- config plumbing
 
 
-def _parse_poly_field(value, p: int):
-    """A polynomial given as '1,0,2' (constant first) or a coefficient list."""
-    if isinstance(value, str):
-        try:
-            coeffs = [int(tok) for tok in value.split(",")]
-        except ValueError:
-            raise UsageError(f"polynomial '{value}' is not a comma-separated integer list")
-    elif isinstance(value, (list, tuple)):
-        try:
-            coeffs = [int(tok) for tok in value]
-        except (TypeError, ValueError):
-            raise UsageError(f"polynomial {value!r} is not an integer list")
-    else:
-        raise UsageError(f"polynomial {value!r} is not an integer list")
+def _parse_poly_field(value: str, p: int):
+    """A polynomial given as '1,0,2', constant first."""
+    try:
+        coeffs = [int(tok) for tok in value.split(",")]
+    except ValueError:
+        raise UsageError(f"polynomial '{value}' is not a comma-separated integer list")
     if not coeffs:
         raise UsageError("polynomial needs at least one coefficient")
     return poly(coeffs, p)
@@ -205,8 +197,6 @@ def _parse_polys(cfg, p: int):
     raw = cfg.get("poly")
     if raw is None:
         raise UsageError("missing required field 'poly'")
-    if isinstance(raw, str) or (raw and isinstance(raw[0], int)):
-        raw = [raw]
     return [_parse_poly_field(entry, p) for entry in raw]
 
 
@@ -217,16 +207,10 @@ def _parse_one_poly(cfg, p: int):
     return polys[0]
 
 
-def _parse_int_list(value, field: str):
-    if isinstance(value, str):
-        toks = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        toks = list(value)
-    else:
-        raise UsageError(f"field '{field}' is not an integer list")
+def _parse_int_list(value: str, field: str):
     try:
-        return [int(t) for t in toks]
-    except (TypeError, ValueError):
+        return [int(t) for t in value.split(",")]
+    except ValueError:
         raise UsageError(f"field '{field}' is not an integer list")
 
 
@@ -432,10 +416,7 @@ def _cmd_census(cfg: dict) -> tuple[dict, list]:
     offsets = _parse_int_list(cfg["offsets"], "offsets")
     stride = cfg.get("stride") if cfg.get("stride") is not None else 1
     theorem_mode = bool(cfg.get("theorem_mode"))
-    raw_v = cfg["v"]
-    if isinstance(raw_v, str) or (raw_v and isinstance(raw_v[0], int)):
-        raw_v = [raw_v]
-    rows = [_parse_int_list(row, "v") for row in raw_v]
+    rows = [_parse_int_list(row, "v") for row in cfg["v"]]
     res = joint_census(
         polys, chi, stride, offsets, cfg["count_range"], rows, theorem_mode=theorem_mode
     )
@@ -651,10 +632,25 @@ def build_parser() -> argparse.ArgumentParser:
 _NON_CONFIG_KEYS = {"command", "config"}
 
 
-def _int_fields(parser: argparse.ArgumentParser, command: str) -> set[str]:
-    """The fields the command's parser declares with type=int."""
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list of strings", bool: "true or false"}
+
+
+def _field_kinds(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
+    """What each of the command's fields holds when given as flags: int for
+    type=int, list (of strings) for repeatable flags, bool for switches,
+    str otherwise."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions if a.type is int}
+    kinds = {}
+    for a in sub.choices[command]._actions:
+        if a.type is int:
+            kinds[a.dest] = int
+        elif isinstance(a, argparse._AppendAction):
+            kinds[a.dest] = list
+        elif isinstance(a, argparse._StoreTrueAction):
+            kinds[a.dest] = bool
+        else:
+            kinds[a.dest] = str
+    return kinds
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
@@ -670,14 +666,20 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise UsageError(f"config file is not valid JSON: {e}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        ints = _int_fields(parser, args.command)
+        kinds = _field_kinds(parser, args.command)
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise UsageError(
                     f"unknown config field '{key}' for command '{args.command}'"
                 )
-            if key in ints and value is not None and type(value) is not int:
-                raise UsageError(f"config field '{key}' must be an integer, not {json.dumps(value)}")
+            kind = kinds[key]
+            if value is not None and (
+                type(value) is not kind
+                or (kind is list and any(type(v) is not str for v in value))
+            ):
+                raise UsageError(
+                    f"config field '{key}' must be {_KIND_NAMES[kind]}, not {json.dumps(value)}"
+                )
             if cfg[key] is None:
                 cfg[key] = value
     if cfg.get("threads") is None:

@@ -77,6 +77,10 @@ _JOINT_CELL_LIMIT = 1 << 20
 # longest window-scan chunk, which bounds the per-chunk temporaries
 _SCAN_CHUNK = 1 << 20
 
+# largest window-sum bound for which a one-sum chunk is tallied by value
+# and folded mod m, rather than reduced mod m first
+_FOLD_LIMIT = 1 << 16
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -240,14 +244,13 @@ def fiber_count(C: Curve, x: int) -> int:
 
 
 def fiber_array(C: Curve, lo: int, hi: int) -> np.ndarray:
-    """Fiber sizes for x in [lo, hi] inclusive (empty when hi < lo)."""
-    if hi < lo:
-        return np.zeros(0, dtype=np.int64)
-    vals = C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64))
+    """Fiber sizes for x in [lo, hi] inclusive (empty when hi < lo), in the
+    character's index dtype: int8 for d < 128, else int32."""
+    idx = char_indices(C.chi, C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64)))
     # index 0 (a nonzero d-th power) has d points, -1 (P(x) = 0) one, others none
-    sizes = np.zeros(C.chi.d + 1, dtype=np.int64)
+    sizes = np.zeros(C.chi.d + 1, dtype=idx.dtype)
     sizes[0], sizes[-1] = C.chi.d, 1
-    return sizes[char_indices(C.chi, vals)]
+    return sizes.take(idx)
 
 
 def _counts_from_values(values: np.ndarray, I: int, out: np.ndarray):
@@ -259,8 +262,8 @@ def _counts_from_values(values: np.ndarray, I: int, out: np.ndarray):
     n = len(out)
     out[0] = int(values[:I].sum())
     if n > 1:
-        np.subtract(values[I : I + n - 1], values[: n - 1], out=out[1:])
-        np.cumsum(out[1:], out=out[1:])
+        np.subtract(values[I : I + n - 1], values[: n - 1], out=out[1:], dtype=out.dtype)
+        np.cumsum(out[1:], out=out[1:], dtype=out.dtype)
         out[1:] += out[0]
 
 
@@ -293,6 +296,8 @@ def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
 
     Each chunk of _scan_chunks is reduced to its m^k tallies, which are
     summed in index order, so no full-length count array is ever held.
+    Values are nonnegative, so a chunk's sums lie in [0, max value * I]
+    and are held in the narrowest signed dtype that bound fits.
     """
     I = spec.window_len
     k = len(values_fors)
@@ -304,14 +309,20 @@ def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
         code = None
         # Horner over the value functions, last first
         for values_for in reversed(values_fors):
-            counts = np.empty(s1 - s0, dtype=np.int64)
-            _counts_from_values(values_for(lo, hi), I, counts)
-            np.mod(counts, m, out=counts)
+            values = values_for(lo, hi)
+            bound = int(values.max(initial=0)) * I
+            counts = np.empty(s1 - s0, dtype=np.min_scalar_type(-bound - 1))
+            _counts_from_values(values, I, counts)
+            if k == 1 and bound < _FOLD_LIMIT:
+                # tally the sums themselves, then fold the bins mod m
+                bins = np.bincount(counts, minlength=-(-(bound + 1) // m) * m)
+                return bins.reshape(-1, m).sum(axis=0)
+            residues = np.mod(counts, m, dtype=np.int64)
             if code is None:
-                code = counts
+                code = residues
             else:
                 code *= m
-                code += counts
+                code += residues
         return np.bincount(code, minlength=m**k)
 
     tall = np.zeros(m**k, dtype=np.int64)
@@ -417,7 +428,7 @@ def _delta_values(rect: Rect, fibers: np.ndarray):
 
     def delta(lo: int, hi: int) -> np.ndarray:
         # delta(x) over [lo, hi]: 0 outside the x-interval
-        out = np.zeros(max(0, hi - lo + 1), dtype=np.int64)
+        out = np.zeros(max(0, hi - lo + 1), dtype=np.int8)
         a, b = max(lo, rect.x_lo), min(hi, rect.x_hi)
         if a <= b:
             out[a - lo : b - lo + 1] = fibers[a - rect.x_lo : b - rect.x_lo + 1] >= 1

@@ -99,7 +99,10 @@ def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
     if p > _INT64_MOD_LIMIT:
         flat = [pow(int(x), exp, p) for x in xs.ravel()]
         return np.array(flat, dtype=object).reshape(xs.shape)
-    base = np.mod(xs, p).astype(np.int64)
+    if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
+        # numpy >= 2 will not take a p above the dtype's range as a scalar
+        xs = xs.astype(np.int64)
+    base = np.mod(xs, p).astype(np.int64, copy=False)
     result = np.ones_like(base)
     e = exp
     while e:
@@ -295,29 +298,39 @@ def char_index_table(chi: Character) -> np.ndarray:
     """Full lookup table of char indices for x in [0, p), -1 at x = 0.
 
     Built by walking powers of the generator, O(p) total work; refused for
-    p > 2**24 to bound memory.
+    p > 2**24 to bound memory.  The table starts filled with d - 1, so the
+    walk skips the coset g^j, j = d - 1 mod d, whenever blocks are a
+    multiple of d.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
         raise ValueError("index table only supported for p <= 2**24")
     g = chi.field.g
     d = chi.d
-    table = np.full(p, -1, dtype=_index_dtype(d))
+    table = np.full(p, d - 1, dtype=_index_dtype(d))
+    table[0] = -1
     block = min(16384, p - 1)
     if d <= block:
         block -= block % d  # then index (start + j) mod d is j mod d in every block
-    pows = np.empty(block, dtype=np.int64)
-    t = 1
-    for j in range(block):
-        pows[j] = t
-        t = t * g % p
-    g_block = t  # g**block
+    # g^0 .. g^(block-1) by doubling: pows[k:2k] = pows[:k] * g^k
+    pows = np.ones(block, dtype=np.int64)
+    k = 1
+    while k < block:
+        n = min(k, block - k)
+        np.multiply(pows[:n], pow(g, k, p), out=pows[k : k + n])
+        np.mod(pows[k : k + n], p, out=pows[k : k + n])
+        k += n
     offsets = np.arange(block, dtype=np.int64)
     residues = (offsets % d).astype(table.dtype)
-    vals = np.empty(block, dtype=np.int64)
+    if block % d == 0:
+        keep = residues != d - 1
+        pows, offsets, residues = pows[keep], offsets[keep], residues[keep]
+    g_block = pow(g, block, p)
+    vals = np.empty(offsets.size, dtype=np.int64)
     scale = 1
     for start in range(0, p - 1, block):
-        cnt = min(block, p - 1 - start)
+        # the kept columns of this block; only the last can be short
+        cnt = int(np.searchsorted(offsets, p - 1 - start))
         if block % d:
             residues = ((start + offsets) % d).astype(table.dtype)
         np.multiply(pows[:cnt], scale, out=vals[:cnt])

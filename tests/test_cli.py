@@ -269,6 +269,40 @@ def test_config_value_of_wrong_type_exits_2(field, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, field, value, kind", [
+    (PHI_ARGS, "poly", 5, "a list of strings"),
+    (PHI_ARGS, "poly", "1,1,0,1", "a list of strings"),
+    (PHI_ARGS, "poly", [[1, 1, 0, 1]], "a list of strings"),
+    (PHI_ARGS, "format", 1, "a string"),
+    (["beta", "--p", "103", "--window", "7"], "beta", 0.5, "a string"),
+    (["gaps", "--p", "13", "--ell", "2", "--mu", "1"], "window", [3, 4], "a string"),
+    (["verify"], "only", 1, "a string"),
+    (["census", "--p", "13", "--ell", "2"], "theorem_mode", 1, "true or false"),
+])
+def test_config_value_not_in_flag_form_exits_2(argv, field, value, kind, tmp_path, capsys):
+    # a config field holds what its flag would: a string, a list of
+    # strings for a repeatable flag, a boolean for a switch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    flag = argv.index(f"--{field}") if f"--{field}" in argv else len(argv)
+    code = cli.run([*argv[:flag], *argv[flag + 2 :], "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}' must be {kind}, not {json.dumps(value)}" in err
+    assert "Traceback" not in err
+
+
+def test_config_fields_in_flag_form_run(tmp_path, capsys):
+    code, want, _ = run_json(capsys, PHI_ARGS)
+    assert code == 0
+    flag = PHI_ARGS.index("--poly")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"poly": ["1,1,0,1"], "format": "json"}))
+    code, got, _ = run_json(capsys, [*PHI_ARGS[:flag], *PHI_ARGS[flag + 2 :], "--config", str(cfg)])
+    assert code == 0
+    assert got["report"] == want["report"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(threads, tmp_path, capsys):
     assert cli.run([*PHI_ARGS, "--threads", threads]) == 2

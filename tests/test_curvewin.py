@@ -526,6 +526,56 @@ def test_tally_scan_in_short_chunks(threads, monkeypatch):
     assert rep.histogram == residue_histogram(restricted, 3)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tally_scan_fold_and_mod_paths(threads, monkeypatch):
+    # A one-sum chunk whose window sums are bounded (max value * I) below
+    # _FOLD_LIMIT is tallied by value and folded mod m; a larger bound, and
+    # every joint scan, reduces mod m first.  Each chunk holds its sums in
+    # the narrowest dtype its bound fits: int8 and int16 below the cutoff
+    # (d = 144 gives int32 fiber sizes), int32 above it.
+    big = 100003
+    assert 144 * 50 < curvewin._FOLD_LIMIT <= min(144 * 500, 2 * 40000, 70000)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    curves = {
+        (1009, 2): [x_poly(1009), poly([1, 1, 0, 1], 1009), poly([3, 0, 1], 1009)],
+        (1009, 144): [poly([1, 1, 0, 1], 1009), poly([5, 2, 0, 0, 1], 1009)],
+        (big, 2): [poly([1, 1, 0, 1], big), poly([2, 0, 1], big)],
+    }
+    curves = {key: [curve(_field(key[0]), key[1], P) for P in Ps] for key, Ps in curves.items()}
+    assert fiber_array(curves[1009, 144][0], 0, 9).dtype == np.int32
+    # (curves, spec, m, k)
+    cases = [
+        ((1009, 2), ScanSpec(3, 900, 50), 5, 1),
+        ((1009, 2), ScanSpec(3, 900, 50), 4, 2),
+        ((1009, 2), ScanSpec(3, 900, 50), 3, 3),
+        ((1009, 144), ScanSpec(3, 400, 50), 7, 1),
+        ((1009, 144), ScanSpec(3, 400, 500), 4, 1),
+        ((1009, 144), ScanSpec(3, 400, 500), 3, 2),
+        ((big, 2), ScanSpec(5, 60, 40000), 3, 1),
+        ((big, 2), ScanSpec(5, 60, 40000), 2, 2),
+    ]
+    for key, spec, m, k in cases:
+        Cs = curves[key][:k]
+        direct = [window_counts_direct(C, spec) for C in Cs]
+        jh = joint_histogram(Cs, spec, m, threads=threads)
+        assert jh.total == spec.scan_len
+        assert {a: c for a, c in jh.as_dict().items() if c} == _tally_oracle(direct, m)
+        if k == 1:
+            assert jh == residue_histogram(direct[0], m)
+    # restricted deltas on y^2 = x, folded (I = 50) and reduced mod m (I = 70000)
+    for p, spec in [(1009, ScanSpec(3, 900, 50)), (big, ScanSpec(5, 60, 70000))]:
+        C = curve(_field(p), 2, x_poly(p))
+        rect = Rect(0, p - 1, 1, (p - 1) // 2)
+        delta = delta_array(C, rect)
+        starts = range(spec.x_start, spec.x_start + spec.scan_len)
+        restricted = np.array([delta[x0 + 1 : x0 + 1 + spec.window_len].sum() for x0 in starts])
+        fibers = curvewin._rect_fibers(C, rect)
+        for m in (1, 3):
+            tallied = curvewin._tally_scan([curvewin._delta_values(rect, fibers)], spec, m, threads)
+            assert tallied == residue_histogram(restricted, m)
+            assert tallied.as_dict() == {(a,): c for a, c in enumerate(np.bincount(restricted % m, minlength=m))}
+
+
 def test_tally_scan_at_the_benchmark_field():
     # ten full chunks, and x^3 + x + 1 reduces once inside Horner at this p
     p = 10000019

@@ -69,6 +69,20 @@ def test_pow_mod_vec_matches_scalar():
         assert [int(v) for v in got] == [pow(int(x), e, p) for x in xs]
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int16])
+def test_pow_mod_vec_narrow_input(dtype):
+    # p is above 2^31 yet still on the int64 path; numpy 2 will not take it
+    # as a scalar of the input's own dtype
+    p = 3037000493
+    info = np.iinfo(dtype)
+    vals = [0, 1, 2, 12345, int(info.max)] + ([-1, -3, int(info.min)] if info.min < 0 else [])
+    xs = np.array(vals, dtype=dtype)
+    for e in (0, 1, 2, 65537, p - 2):
+        got = pow_mod_vec(xs, e, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(x, e, p) for x in vals]
+
+
 def test_pow_mod_vec_large_modulus_fallback():
     # 2**61 - 1 is prime and far above the int64 product-safe limit.
     p = (1 << 61) - 1
@@ -253,6 +267,33 @@ def test_char_indices_agrees_with_table_and_scalar():
             x = rng.randrange(0, p)
             j = char_index(chi, x)
             assert table[x] == (-1 if j is None else j)
+
+
+@pytest.mark.parametrize("p, ell", [
+    (3, 2), (5, 4),  # d = p - 1
+    (40009, 2),  # blocks of 16384 and a short tail block of 7240
+    (40009, 3), (40009, 4),  # d = 3 and 4 above 16384: blocks of 16383 and 16384
+    (40009, 5),  # d = 1: the whole group is the coset the walk skips
+    (40009, 40008),  # d > 16384: blocks are no multiple of d, every column is written
+])
+def test_char_index_table_matches_oracles(p, ell):
+    # the walk leaves the coset g^j, j = d - 1 mod d, at the fill value
+    character.cache_clear()
+    chi = character(FieldSpec.from_prime(p), ell)
+    table = char_index_table(chi)
+    want = ffield._char_indices_pow(chi, np.arange(p, dtype=np.int64))
+    assert table.dtype == want.dtype == (np.int8 if chi.d < 128 else np.int32)
+    assert table.shape == (p,)
+    assert np.array_equal(table, want)
+    assert not chi.table.flags.writeable
+    assert np.array_equal(chi.table, table)
+    g, d = chi.field.g, chi.d
+    probes = {0, 1, p - 1}
+    probes |= {pow(g, j, p) for j in range(min(d, 20))}
+    probes |= {pow(g, d - 1 + d * t, p) for t in range(20)}
+    for x in probes:
+        j = char_index(chi, x)
+        assert table[x] == (-1 if j is None else j)
 
 
 def test_char_indices_table_path_matches_power_map():
