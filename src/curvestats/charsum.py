@@ -101,15 +101,6 @@ def incomplete_sum(P: Poly, chi: Character, lo: int, hi: int) -> CharSumTally:
     return CharSumTally(chi.d, tuple(int(c) for c in counts), zeros)
 
 
-def _power_shape(P: Poly, e: int) -> bool:
-    """True iff P = c * R(x)^e for some constant c, i.e. every factor
-    multiplicity is divisible by e (a complete e-th power once constants
-    may be absorbed)."""
-    if e < 2:
-        return True
-    return factor(P).multiplicity_gcd() % e == 0
-
-
 @dataclass(frozen=True)
 class TwistCheck:
     """Complete-interval check of one twisted sum chi^twist."""
@@ -149,7 +140,10 @@ def weil_check(P: Poly, chi: Character, lo: int, hi: int) -> WeilReport:
         raise ValueError("square-root cancellation needs a nontrivial character")
     if P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    if _power_shape(P, chi.d):
+    # P = c * R(x)^e for some constant c (the sum of a character of order
+    # e degenerates) iff e divides every factor multiplicity of P
+    mult_gcd = factor(P).multiplicity_gcd()
+    if mult_gcd % chi.d == 0:
         raise HypothesisError(
             "P_not_complete_power",
             f"all factor multiplicities of {P} are divisible by d = {chi.d}",
@@ -163,7 +157,7 @@ def weil_check(P: Poly, chi: Character, lo: int, hi: int) -> WeilReport:
         cbound = (P.degree + 1) * math.sqrt(p)
         for j in range(1, chi.d):
             order = chi.d // math.gcd(j, chi.d)
-            if order < 2 or _power_shape(P, order):
+            if order < 2 or mult_gcd % order == 0:
                 skipped.append(j)
                 continue
             mj = tally.magnitude(twist=j)

@@ -20,6 +20,7 @@ __all__ = [
     "is_prime",
     "pow_mod",
     "pow_mod_vec",
+    "floor_mod",
     "factorize",
     "primitive_root",
     "FieldSpec",
@@ -85,6 +86,21 @@ def pow_mod(base: int, exp: int, p: int) -> int:
     return pow(base % p, exp, p)
 
 
+def floor_mod(
+    a: np.ndarray, p: int, out: np.ndarray | None = None, q: np.ndarray | None = None
+) -> np.ndarray:
+    """a mod p as a - (a // p) * p, for integer a and 0 < p <= 3_037_000_499.
+
+    Exact: the quotient is floored, so a - q*p lies in [0, p), and numpy
+    divides by the scalar p through a precomputed reciprocal, which makes
+    this faster than np.mod for int64 arrays.  q receives the quotients
+    and out the result (out may be a); each is allocated when not given.
+    """
+    q = np.floor_divide(a, p, out=q)
+    q *= p
+    return np.subtract(a, q, out=out)
+
+
 def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
     """Elementwise xs**exp mod p.
 
@@ -102,17 +118,18 @@ def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
     if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
         # numpy >= 2 will not take a p above the dtype's range as a scalar
         xs = xs.astype(np.int64)
-    base = np.mod(xs, p).astype(np.int64, copy=False)
+    base = np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False)
     result = np.ones_like(base)
+    q = np.empty_like(base)
     e = exp
     while e:
         if e & 1:
             np.multiply(result, base, out=result)
-            np.mod(result, p, out=result)
+            floor_mod(result, p, out=result, q=q)
         e >>= 1
         if e:
             np.multiply(base, base, out=base)
-            np.mod(base, p, out=base)
+            floor_mod(base, p, out=base, q=q)
     return result
 
 
@@ -265,8 +282,12 @@ def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs)
     if chi.table is None or xs.dtype.kind not in "iu":
         return _char_indices_pow(chi, xs)
-    if xs.size and (xs.min() < 0 or xs.max() >= p):
-        xs = np.mod(xs, p)
+    if xs.dtype.itemsize < 8:
+        # numpy >= 2 will not take a p above the dtype's range as a scalar
+        xs = xs.astype(np.int64)
+    # one pass checks both ends: negative int64 entries read as uint64 values above p
+    if xs.size and int(xs.view(np.uint64).max()) >= p:
+        xs = floor_mod(xs, p)
     return chi.table[xs]
 
 
@@ -327,6 +348,7 @@ def char_index_table(chi: Character) -> np.ndarray:
         pows, offsets, residues = pows[keep], offsets[keep], residues[keep]
     g_block = pow(g, block, p)
     vals = np.empty(offsets.size, dtype=np.int64)
+    q = np.empty_like(vals)
     scale = 1
     for start in range(0, p - 1, block):
         # the kept columns of this block; only the last can be short
@@ -334,7 +356,7 @@ def char_index_table(chi: Character) -> np.ndarray:
         if block % d:
             residues = ((start + offsets) % d).astype(table.dtype)
         np.multiply(pows[:cnt], scale, out=vals[:cnt])
-        np.mod(vals[:cnt], p, out=vals[:cnt])
+        floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
         table[vals[:cnt]] = residues[:cnt]
         scale = scale * g_block % p
     return table

@@ -2,6 +2,8 @@
 
 Item i always runs as fn(i) and its result lands at index i, so results
 never depend on the thread count or on which worker ran which item.
+run_blocks hands each worker its whole block of items at once, so that
+a worker can set up state, such as scan buffers, once for all of them.
 """
 
 from __future__ import annotations
@@ -9,16 +11,20 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 
+def run_blocks(fn, n: int, threads: int) -> list:
+    """fn(lo, hi) returns the results of items lo..hi-1; run it over at
+    most `threads` contiguous blocks of [0, n), one task per worker, and
+    concatenate the results in item order."""
+    workers = max(1, min(threads, n))
+    bounds = [w * n // workers for w in range(workers + 1)]
+    if workers == 1:
+        return list(fn(0, n))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = ex.map(lambda w: fn(bounds[w], bounds[w + 1]), range(workers))
+        return [r for part in parts for r in part]
+
+
 def run_indexed(fn, n: int, threads: int) -> list:
     """[fn(0), ..., fn(n - 1)], split into at most `threads` contiguous
     blocks of items, one task per worker, when threads > 1 and n > 1."""
-    workers = min(threads, n)
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    bounds = [w * n // workers for w in range(workers + 1)]
-
-    def block(w: int) -> list:
-        return [fn(i) for i in range(bounds[w], bounds[w + 1])]
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return [r for part in ex.map(block, range(workers)) for r in part]
+    return run_blocks(lambda lo, hi: [fn(i) for i in range(lo, hi)], n, threads)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import _INT64_MOD_LIMIT, factorize, is_prime
+from .ffield import _INT64_MOD_LIMIT, factorize, floor_mod, is_prime
 
 __all__ = [
     "Poly",
@@ -71,12 +71,18 @@ class Poly:
             acc = (acc * x + c) % self.p
         return acc
 
-    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vec(
+        self, xs: np.ndarray, out: np.ndarray | None = None, q: np.ndarray | None = None
+    ) -> np.ndarray:
         """Horner evaluation over an array, int64 fast path for safe moduli.
 
         int64 input already in [0, p) is read as is.  The accumulator is
         reduced only when a bound on its entries says the next acc*x + c
-        could reach 2^63, and once at the end.
+        could reach 2^63, and once at the end.  On the int64 path, out
+        (the accumulator and result) and q (the quotients of the
+        reductions) are int64 arrays of xs's shape that a caller may reuse
+        across calls; each is allocated when not given.  xs is never
+        written.
         """
         xs = np.asarray(xs)
         p = self.p
@@ -90,11 +96,12 @@ class Poly:
         if xs.dtype == np.int64 and (xs.size == 0 or int(xs.view(np.uint64).max()) < p):
             x = xs
         else:
-            x = np.mod(xs, p).astype(np.int64, copy=False)
+            x = np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False)
+        acc = np.empty_like(x) if out is None else out
         if len(self.coeffs) < 2:
-            return np.full_like(x, self.coeffs[0] if self.coeffs else 0)
+            acc[...] = self.coeffs[0] if self.coeffs else 0
+            return acc
         lead, c, *rest = reversed(self.coeffs)
-        acc = np.empty_like(x)
         if lead == 1:
             np.add(x, c, out=acc)
         else:
@@ -104,14 +111,16 @@ class Poly:
         bound = lead * top + c
         for c in rest:
             if bound * top + c >= 1 << 63:
-                np.mod(acc, p, out=acc)
+                if q is None:
+                    q = np.empty_like(acc)
+                floor_mod(acc, p, out=acc, q=q)
                 bound = top
             np.multiply(acc, x, out=acc)
             if c:
                 acc += c
             bound = bound * top + c
         if bound >= p:
-            np.mod(acc, p, out=acc)
+            floor_mod(acc, p, out=acc, q=q)
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":

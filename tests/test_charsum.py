@@ -14,6 +14,7 @@ import pytest
 
 from curvestats.charsum import (
     CharSumTally,
+    TwistCheck,
     census_m,
     incomplete_sum,
     joint_census,
@@ -169,6 +170,42 @@ def test_weil_check_rejects_power_shapes():
     # a non-residue times a square concentrates the sum just the same
     with pytest.raises(HypothesisError):
         weil_check(poly([0, 0, 3], 7), chi, 0, 6)
+
+
+def test_weil_check_factors_once(monkeypatch):
+    # one factor call per weil_check serves the power-shape hypothesis and
+    # every twist; skipped twists are those of order e with P = c * R^e
+    from curvestats import charsum
+
+    calls = []
+    real = charsum.factor
+
+    def counted(P, *args):
+        calls.append(P)
+        return real(P, *args)
+
+    monkeypatch.setattr(charsum, "factor", counted)
+    p = 13  # d = 4 for ell = 4
+    chi = _chi(p, 4)
+    square = poly([1, 0, 1], p) ** 2  # (x^2 + 1)^2: the order-2 twist is skipped
+    cases = [(square, (2,)), (poly([1, 1, 0, 1], p), ()), (poly([2, 0, 0, 1], p) ** 3, ())]
+    for P, skipped in cases:
+        calls.clear()
+        rep = weil_check(P, chi, 0, p - 1)
+        assert calls == [P]
+        assert rep.skipped_twists == skipped
+        tally = _brute_tally(P, chi, 0, p - 1)
+        assert rep.tally == tally
+        cbound = (P.degree + 1) * math.sqrt(p)
+        want = []
+        for j in (j for j in range(1, 4) if j not in skipped):
+            mj = tally.magnitude(j)
+            want.append(TwistCheck(j, 4 // math.gcd(j, 4), mj, cbound, mj <= cbound + 1e-9))
+        assert rep.complete_twists == tuple(want)
+    calls.clear()
+    with pytest.raises(HypothesisError) as exc:
+        weil_check(poly([1, 0, 1], p) ** 4, chi, 0, p - 1)
+    assert exc.value.name == "P_not_complete_power" and len(calls) == 1
 
 
 def test_weil_check_empty_interval_trivially_passes():

@@ -88,6 +88,15 @@ def test_fiber_array_agrees_pointwise():
     arr = fiber_array(C, 0, 30)
     assert arr.tolist() == [fiber_count(C, x) for x in range(31)]
     assert fiber_array(C, 5, 4).size == 0
+    # callers keep the result, so no call may hand out memory another
+    # call (or a scan worker's buffers) will write
+    again = fiber_array(C, 0, 30)
+    assert not np.shares_memory(arr, again) and np.array_equal(arr, again)
+    buffers = curvewin._TileBuffers(np.arange(40, dtype=np.int64))
+    tiled = fiber_array(C, 0, 30, buffers)
+    assert np.array_equal(tiled, arr)
+    assert not any(np.shares_memory(tiled, b) for b in (buffers.x, buffers.acc, buffers.q))
+    assert np.array_equal(fiber_array(C, 3, 7, buffers), arr[3:8]) and np.array_equal(tiled, arr)
 
 
 def test_curve_constructor_rejects_bad_inputs():
@@ -479,6 +488,38 @@ def test_short_scan_chunks_change_no_result(monkeypatch):
     assert chunked.dtype == np.int64 and np.array_equal(chunked, delta)
     assert condition_star_witness(C, bad) == witness
 
+
+
+def test_two_thread_tiles_unequal_and_short(monkeypatch):
+    # 16 windows in tiles of at most 7 windows are tiles of 6, 6 and 4, so
+    # at 2 threads one worker runs one tile and the other two, the last
+    # short; each worker allocates one set of buffers for all its tiles
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    assert curvewin._scan_chunks(16, 2) == [(0, 6), (6, 12), (12, 16)]
+    made = []
+    tile_buffers = curvewin._TileBuffers
+
+    def counted(iota):
+        made.append(iota.size)
+        return tile_buffers(iota)
+
+    monkeypatch.setattr(curvewin, "_TileBuffers", counted)
+    p = 1009
+    fs = _field(p)
+    Cs = [curve(fs, 2, poly([1, 1, 0, 1], p)), curve(fs, 2, poly([3, 0, 1], p))]
+    spec = ScanSpec(3, 16, 50)
+    runs = {}
+    for threads in (1, 2):
+        made.clear()
+        counts = window_counts(Cs[0], spec, threads=threads)
+        assert made == [6 + 50 - 1] * threads
+        runs[threads] = (
+            counts.tobytes(),
+            repr(joint_histogram(Cs[:1], spec, 3, threads=threads)),
+            repr(joint_histogram(Cs, spec, 5, threads=threads)),
+        )
+    assert runs[1] == runs[2]
+    assert np.array_equal(counts, window_counts_direct(Cs[0], spec))
 
 
 def _tally_oracle(counts, m) -> dict:

@@ -16,6 +16,7 @@ from curvestats.ffield import (
     char_indices,
     character,
     factorize,
+    floor_mod,
     is_prime,
     legendre,
     pow_mod,
@@ -312,6 +313,15 @@ def test_char_indices_table_path_matches_power_map():
             want = ffield._char_indices_pow(chi, xs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+            # the one-pass range check at the int64 extremes, and narrower
+            # integer dtypes, which are widened first
+            edges = [np.array([-(2**63), 2**63 - 1, -1, 0, p - 1, p], dtype=np.int64)]
+            for dtype in (np.int8, np.int16, np.uint16, np.int32, np.uint64):
+                info = np.iinfo(dtype)
+                edges.append(np.array([info.min, info.max, 0, 1, info.max // 3], dtype=dtype))
+            for xs in edges:
+                want = [-1 if (j := char_index(chi, int(x))) is None else j for x in xs]
+                assert char_indices(chi, xs).tolist() == want
 
 
 @pytest.mark.parametrize("p,dtype", [(16777259, np.int64), (10009, object)])
@@ -337,6 +347,25 @@ def test_char_indices_without_table(p, dtype, monkeypatch):
     assert calls == [n]
     for i in np.linspace(0, n - 1, 10).astype(np.int64):
         assert got[i] == char_index(chi, int(xs[i]))
+
+
+@pytest.mark.parametrize("p", [3, 10007, 10000019, 3037000493, ffield._INT64_MOD_LIMIT])
+def test_floor_mod_matches_np_mod(p):
+    top = 2**63 - 1
+    a = np.array([0, p - 1, p, top, 1, p + 1, 2 * p - 1, -1, -p, -(2**63)], dtype=np.int64)
+    want = np.mod(a, p)
+    assert np.array_equal(floor_mod(a, p), want)
+    # in place, with a caller's quotient buffer
+    b, q = a.copy(), np.empty_like(a)
+    assert floor_mod(b, p, out=b, q=q) is b
+    assert np.array_equal(b, want)
+    assert floor_mod(np.zeros(0, dtype=np.int64), p).shape == (0,)
+    for v in (0, p - 1, p, top):
+        x = np.array(v, dtype=np.int64)
+        assert int(floor_mod(x, p)) == v % p
+        out = np.empty((), dtype=np.int64)
+        assert floor_mod(x, p, out=out, q=np.empty((), dtype=np.int64)) is out
+        assert int(out) == v % p and int(x) == v
 
 
 def test_char_index_table_rejects_large_p():

@@ -114,6 +114,27 @@ def test_eval_vec_bound_tracking_matches_scalar():
                     assert np.array_equal(xs, before)
 
 
+def test_eval_vec_into_caller_buffers():
+    import numpy as np
+
+    # out (and q) are filled and returned, xs is left as it was, and the
+    # values equal a fresh call's, for int64 input in and out of [0, p)
+    rng = random.Random(13)
+    for p in (3, 1449, 10000019, 3037000493):
+        edges = [0, p - 1, 1, p, -1, 2**63 - 1, -(2**63)]
+        xs = np.array(edges + [rng.randrange(p) for _ in range(9)])
+        P = random_poly(rng, p, 6)
+        for Q in (P, poly([5, 0, 0, 0, 1], p), constant(1 % p, p), poly((), p)):
+            for arr in (xs, xs[:3], xs[:0], np.array(p - 1)):
+                before = arr.copy()
+                want = Q.eval_vec(arr)
+                for q in (None, np.empty_like(arr)):
+                    buf = np.full_like(arr, -7)
+                    assert Q.eval_vec(arr, out=buf, q=q) is buf
+                    assert np.array_equal(buf, want) and buf.shape == arr.shape
+                    assert np.array_equal(arr, before)
+
+
 def test_arithmetic_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
