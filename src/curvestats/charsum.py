@@ -25,7 +25,7 @@ import numpy as np
 from .errors import HypothesisError
 from .curvewin import Curve, Rect, _star_fibers
 from .ffield import Character, char_indices
-from .polyff import Poly, admissible, factor, multiplicatively_independent
+from .polyff import Poly, admissible, multiplicatively_independent, squarefree_decomposition
 
 __all__ = [
     "CharSumTally",
@@ -142,7 +142,7 @@ def weil_check(P: Poly, chi: Character, lo: int, hi: int) -> WeilReport:
         raise ValueError("polynomial must be nonconstant")
     # P = c * R(x)^e for some constant c (the sum of a character of order
     # e degenerates) iff e divides every factor multiplicity of P
-    mult_gcd = factor(P).multiplicity_gcd()
+    mult_gcd = math.gcd(*squarefree_decomposition(P)[1])
     if mult_gcd % chi.d == 0:
         raise HypothesisError(
             "P_not_complete_power",

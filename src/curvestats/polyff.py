@@ -1,18 +1,23 @@
 """Dense univariate polynomial arithmetic over prime fields F_p.
 
-Coefficients are stored constant term first.  Factorization follows the
-classical pipeline: derivative/gcd reduction to a squarefree part,
-distinct-degree splitting by Frobenius powers, then seeded equal-degree
-splitting, with multiplicities recovered by trial division.  On top of
-the factor data sit complete-power and admissibility predicates, shifted
-products P(ax+b_1)^{e_1} ... P(ax+b_r)^{e_r}, and a rational-rank test
-for multiplicative independence of polynomial families.
+Coefficients are stored constant term first.  No polynomial is ever
+fully factored.  The squarefree decomposition P = c * w_1 w_2^2 w_3^3 ...
+(repeated gcds with the derivative, in the finite-field form of the
+algorithms Yun surveys, SYMSAC 1976: a p-th root takes the part whose
+derivative vanishes) gives the unit c and the factor multiplicities,
+which is all the complete-power and admissibility predicates read.  The
+rational-rank test for multiplicative independence of a family refines
+the squarefree parts of all its members into a pairwise coprime base by
+gcds (factor refinement: Bach, Driscoll and Shallit, J. Algorithms 15,
+1993); its exponent matrix has the kernel of the matrix over irreducible
+factors, whose columns it only merges.  Shifted products
+P(ax+b_1)^{e_1} ... P(ax+b_r)^{e_r} round out the hypotheses of the
+paper's theorems.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +31,7 @@ __all__ = [
     "x_poly",
     "constant",
     "eval_poly",
-    "Factorization",
-    "factor",
+    "squarefree_decomposition",
     "is_complete_power",
     "admissible",
     "shift_combination",
@@ -244,18 +248,6 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero else a
 
 
-def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = constant(1, base.p)
-    base = _divmod(base, mod)[1]
-    while e:
-        if e & 1:
-            result = _divmod(result * base, mod)[1]
-        e >>= 1
-        if e:
-            base = _divmod(base * base, mod)[1]
-    return result
-
-
 def _pth_root(f: Poly) -> Poly:
     # In F_p[x], f with zero derivative is g(x^p) and coefficients are fixed
     # by Frobenius, so the root just keeps every p-th coefficient.
@@ -265,106 +257,45 @@ def _pth_root(f: Poly) -> Poly:
     return poly(f.coeffs[::p], p)
 
 
-def _distinct_irreducibles(f: Poly, rng: random.Random) -> list[Poly]:
-    """Distinct monic irreducible factors of a monic squarefree f."""
-    p = f.p
-    out: list[Poly] = []
-    h = x_poly(p)
-    d = 0
-    while f.degree > 0:
-        d += 1
-        if 2 * d > f.degree:
-            out.append(f)
-            break
-        h = _pow_mod(h, p, f)  # x^(p^d) mod f
-        g = _gcd(h - x_poly(p), f)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            f = _divmod(f, g)[0]
-            h = _divmod(h, f)[1]
-    return out
+def squarefree_decomposition(P: Poly) -> tuple[int, dict[int, Poly]]:
+    """P = unit * product(part^i for i, part in parts.items()), p an odd prime.
 
-
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split monic squarefree f whose irreducible factors all have degree d."""
-    p = f.p
-    if f.degree == d:
-        return [f]
-    e = (pow(p, d) - 1) // 2
-    while True:
-        r = poly([rng.randrange(p) for _ in range(f.degree)], p)
-        if r.degree < 1:
-            continue
-        t = _pow_mod(r, e, f) - constant(1, p)
-        g = _gcd(t, f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(_divmod(f, g)[0], d, rng)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """unit * product(factor^multiplicity) with monic irreducible factors."""
-
-    unit: int
-    factors: tuple[tuple[Poly, int], ...]
-    p: int
-
-    def product(self) -> Poly:
-        acc = constant(self.unit, self.p)
-        for f, e in self.factors:
-            acc = acc * f**e
-        return acc
-
-    def multiplicity_gcd(self) -> int:
-        return math.gcd(*[e for _, e in self.factors]) if self.factors else 0
-
-
-def factor(P: Poly, seed: int = 0) -> Factorization:
-    """Full factorization over F_p, p an odd prime.
-
-    Equal-degree splitting draws its randomness from the given seed, so
-    identical inputs always factor identically.
+    The parts are monic, squarefree, nonconstant and pairwise coprime, so
+    the keys are exactly the multiplicities of P's irreducible factors; a
+    constant P has no parts.
     """
     if P.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
+        raise ValueError("cannot decompose the zero polynomial")
     if not is_prime(P.p) or P.p == 2:
-        raise ValueError("factorization requires an odd prime modulus")
-    rng = random.Random(seed)
-    unit = P.lead
-    found: dict[tuple[int, ...], int] = {}
-    _factor_monic(P.monic(), 1, found, rng)
-    factors = tuple(
-        sorted(
-            ((Poly(coeffs=c, p=P.p), e) for c, e in found.items()),
-            key=lambda fe: (fe[0].degree, fe[0].coeffs),
-        )
-    )
-    result = Factorization(unit=unit, factors=factors, p=P.p)
-    if result.product() != P:
-        raise ArithmeticError("factorization failed reconstruction check")
-    return result
+        raise ValueError("squarefree decomposition requires an odd prime modulus")
+    parts: dict[int, Poly] = {}
+    _squarefree_monic(P.monic(), 1, parts)
+    acc = constant(P.lead, P.p)
+    for i, part in parts.items():
+        acc = acc * part**i
+    if acc != P:
+        raise ArithmeticError("squarefree decomposition failed reconstruction check")
+    return P.lead, parts
 
 
-def _factor_monic(f: Poly, scale: int, out: dict[tuple[int, ...], int], rng: random.Random):
+def _squarefree_monic(f: Poly, scale: int, parts: dict[int, Poly]):
+    # f = w_1 w_2^2 w_3^3 ... with gcd(f, f') keeping every factor whose
+    # multiplicity is divisible by p whole; peel w_i off one multiplicity at
+    # a time, then take the p-th root of what the derivative cannot see
     if f.degree < 1:
         return
-    df = f.derivative()
-    if df.is_zero:
-        _factor_monic(_pth_root(f), scale * f.p, out, rng)
-        return
-    squarefree = _divmod(f, _gcd(f, df))[0]
-    for irr in _distinct_irreducibles(squarefree, rng):
-        mult = 0
-        while True:
-            q, r = _divmod(f, irr)
-            if not r.is_zero:
-                break
-            f = q
-            mult += 1
-        out[irr.coeffs] = out.get(irr.coeffs, 0) + mult * scale
-    # whatever survives trial division has all multiplicities divisible by p
-    if f.degree > 0:
-        _factor_monic(_pth_root(f), scale * f.p, out, rng)
+    c = _gcd(f, f.derivative())
+    w = _divmod(f, c)[0]
+    i = 1
+    while w.degree > 0:
+        y = _gcd(w, c)
+        if w.degree > y.degree:
+            parts[i * scale] = _divmod(w, y)[0]
+        c = _divmod(c, y)[0]
+        w = y
+        i += 1
+    if c.degree > 0:
+        _squarefree_monic(_pth_root(c), scale * f.p, parts)
 
 
 def _is_power_residue(c: int, e: int, p: int) -> bool:
@@ -378,20 +309,17 @@ def is_complete_power(P: Poly, e: int) -> bool:
         raise ValueError("zero polynomial is excluded")
     if e < 2:
         raise ValueError("power exponent must be at least 2")
-    fac = factor(P)
-    if any(m % e for _, m in fac.factors):
-        return False
-    return _is_power_residue(fac.unit, e, P.p)
+    unit, parts = squarefree_decomposition(P)
+    return math.gcd(*parts) % e == 0 and _is_power_residue(unit, e, P.p)
 
 
 def admissible(P: Poly, ell: int) -> bool:
     """No prime q coprime to ell has P as a complete q-th power."""
     if P.degree < 1:
         raise ValueError("admissibility is defined for nonconstant polynomials")
-    fac = factor(P)
-    g = fac.multiplicity_gcd()
-    for q, _ in factorize(g):
-        if math.gcd(q, ell) == 1 and _is_power_residue(fac.unit, q, P.p):
+    unit, parts = squarefree_decomposition(P)
+    for q, _ in factorize(math.gcd(*parts)):
+        if math.gcd(q, ell) == 1 and _is_power_residue(unit, q, P.p):
             return False
     return True
 
@@ -435,11 +363,11 @@ class IndependenceResult:
 def multiplicatively_independent(Ps) -> IndependenceResult:
     """Decide whether no nonzero integer vector e makes prod P_i^{e_i} constant.
 
-    Works on the exponent matrix over the union of monic irreducible
-    factors: a rational kernel vector scales to an integer one, and
-    raising the resulting constant to the power p-1 turns it into exactly
-    1, so rational rank decides the question.  The witness is primitive
-    with positive first nonzero entry.
+    Works on the exponent matrix over a pairwise coprime base of the
+    squarefree parts: a rational kernel vector scales to an integer one,
+    and raising the resulting constant to the power p-1 turns it into
+    exactly 1, so rational rank decides the question.  The witness is
+    primitive with positive first nonzero entry.
     """
     Ps = list(Ps)
     if not Ps:
@@ -449,16 +377,26 @@ def multiplicatively_independent(Ps) -> IndependenceResult:
             raise ValueError("zero polynomials are excluded")
         if P.degree < 1:
             raise ValueError("constant polynomials are excluded from the independence test")
-    facs = [factor(P) for P in Ps]
-    support = sorted(
-        {(f.degree, f.coeffs) for fac in facs for f, _ in fac.factors}
-    )
-    col = {key: i for i, key in enumerate(support)}
+        Ps[0]._check(P)
+    # each base element carries its exponent in every P_i: that of all the
+    # irreducible factors it holds, since the parts of one P_i are coprime
     k = len(Ps)
-    rows = [[Fraction(0)] * len(support) for _ in range(k)]
-    for i, fac in enumerate(facs):
-        for f, e in fac.factors:
-            rows[i][col[(f.degree, f.coeffs)]] = Fraction(e)
+    base: list[tuple[Poly, tuple[int, ...]]] = []
+    for i, P in enumerate(Ps):
+        for m, s in squarefree_decomposition(P)[1].items():
+            refined = []
+            for b, exps in base:
+                g = _gcd(b, s)
+                if g.degree > 0:
+                    s = _divmod(s, g)[0]
+                    b = _divmod(b, g)[0]
+                    refined.append((g, exps[:i] + (m,) + exps[i + 1 :]))
+                if b.degree > 0:
+                    refined.append((b, exps))
+            if s.degree > 0:
+                refined.append((s, (0,) * i + (m,) + (0,) * (k - i - 1)))
+            base = refined
+    rows = [[Fraction(exps[i]) for _, exps in base] for i in range(k)]
     trans = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     pivots: list[tuple[int, int]] = []
     for i in range(k):

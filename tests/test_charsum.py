@@ -172,19 +172,20 @@ def test_weil_check_rejects_power_shapes():
         weil_check(poly([0, 0, 3], 7), chi, 0, 6)
 
 
-def test_weil_check_factors_once(monkeypatch):
-    # one factor call per weil_check serves the power-shape hypothesis and
-    # every twist; skipped twists are those of order e with P = c * R^e
+def test_weil_check_decomposes_once(monkeypatch):
+    # one squarefree decomposition per weil_check serves the power-shape
+    # hypothesis and every twist; skipped twists are those of order e with
+    # P = c * R^e
     from curvestats import charsum
 
     calls = []
-    real = charsum.factor
+    real = charsum.squarefree_decomposition
 
-    def counted(P, *args):
+    def counted(P):
         calls.append(P)
-        return real(P, *args)
+        return real(P)
 
-    monkeypatch.setattr(charsum, "factor", counted)
+    monkeypatch.setattr(charsum, "squarefree_decomposition", counted)
     p = 13  # d = 4 for ell = 4
     chi = _chi(p, 4)
     square = poly([1, 0, 1], p) ** 2  # (x^2 + 1)^2: the order-2 twist is skipped

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, factorization, and independence tests."""
+"""Polynomial arithmetic, squarefree decomposition, and independence tests."""
 
 import math
 import random
@@ -8,15 +8,15 @@ import sympy
 
 from curvestats.ffield import is_prime
 from curvestats.polyff import (
-    Factorization,
+    _gcd,
     admissible,
     constant,
     eval_poly,
-    factor,
     is_complete_power,
     multiplicatively_independent,
     poly,
     shift_combination,
+    squarefree_decomposition,
     x_poly,
 )
 
@@ -155,78 +155,109 @@ def test_poly_normalization():
     assert poly((0, 3), 7).degree == 1
 
 
-# ---------------------------------------------------------------- factorization
+# ---------------------------------------------------------------- squarefree decomposition
 
 
-def test_factor_examples():
-    f = factor(poly((1, 0, 1), 5))  # x^2 + 1 = (x+2)(x+3) mod 5
-    assert f.unit == 1
-    assert {(pp.coeffs, e) for pp, e in f.factors} == {((2, 1), 1), ((3, 1), 1)}
-
-    f = factor(poly((1, 0, 1), 7))  # irreducible mod 7
-    assert f.unit == 1
-    assert f.factors == ((poly((1, 0, 1), 7), 1),)
-
-    f = factor(poly((1, 2, 1), 7))  # (x+1)^2
-    assert f.factors == ((poly((1, 1), 7), 2),)
+def _oracle_factors(P):
+    """(unit, [(monic irreducible, multiplicity)]) from sympy.factor_list."""
+    x = sympy.Symbol("x")
+    expr = sum(int(c) * x**i for i, c in enumerate(P.coeffs))
+    unit, sfac = sympy.factor_list(sympy.Poly(expr, x, modulus=P.p))
+    factors = [(poly(reversed(f.all_coeffs()), P.p), e) for f, e in sfac]
+    return int(unit) % P.p, factors
 
 
-def test_factor_rejects_zero():
-    with pytest.raises(ValueError):
-        factor(poly((), 7))
+def _oracle_parts(P):
+    unit, factors = _oracle_factors(P)
+    parts = {}
+    for f, e in factors:
+        parts[e] = parts.get(e, constant(1, P.p)) * f
+    return unit, parts
 
 
-def test_factor_reconstruction_random():
+def _frobenius_pullback(P):
+    """P(x^p)."""
+    cs = [0] * (P.p * P.degree + 1)
+    cs[:: P.p] = P.coeffs
+    return poly(cs, P.p)
+
+
+def test_squarefree_decomposition_examples():
+    assert squarefree_decomposition(poly((1, 0, 1), 5)) == (1, {1: poly((1, 0, 1), 5)})
+    assert squarefree_decomposition(poly((1, 2, 1), 7)) == (1, {2: poly((1, 1), 7)})
+    assert squarefree_decomposition(constant(3, 7)) == (3, {})
+    # 3 (x+1)^2 x^3 over F_7
+    P = (poly((1, 1), 7) ** 2 * poly((0, 0, 0, 1), 7)).scale(3)
+    assert squarefree_decomposition(P) == (3, {2: poly((1, 1), 7), 3: x_poly(7)})
+
+
+def test_repeated_factors_with_char_multiplicities():
+    # multiplicities at and above p exercise the p-th root branch
+    p = 5
+    P = poly((1, 1), p) ** 5 * poly((2, 1), p) ** 2
+    assert squarefree_decomposition(P) == (1, {5: poly((1, 1), p), 2: poly((2, 1), p)})
+    # x^2 + 2 is irreducible mod 5
+    P = poly((1, 1), p) ** 7 * poly((3, 1), p) ** 10 * poly((2, 0, 1), p) ** 25
+    parts = {7: poly((1, 1), p), 10: poly((3, 1), p), 25: poly((2, 0, 1), p)}
+    assert squarefree_decomposition(P.scale(3)) == (3, parts)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:sympy")
+def test_squarefree_decomposition_matches_sympy():
+    rng = random.Random(13)
+    checked = 0
+    for p in (3, 5, 7, 13, 101, 10007):
+        for _ in range(12):
+            P = random_poly(rng, p, 6)
+            if P.degree < 1:
+                continue
+            cands = [P, P ** rng.randrange(2, 4)]
+            if p <= 7:
+                # a linear factor of multiplicity >= p, and P(x^p), whose
+                # derivative is zero
+                lin = poly((rng.randrange(p), 1), p)
+                cands += [P * lin ** (p + rng.randrange(3)), _frobenius_pullback(P)]
+                cands += [_frobenius_pullback(P) * P]
+            for Q in cands:
+                assert squarefree_decomposition(Q) == _oracle_parts(Q)
+                checked += 1
+    assert checked > 150
+
+
+def test_squarefree_decomposition_reconstruction_random():
     rng = random.Random(12)
     primes = [q for q in range(3, 10_000) if is_prime(q)]
     for _ in range(500):
         p = rng.choice(primes)
         P = random_poly(rng, p, 6)
-        fac = factor(P)
-        assert fac.product() == P
-        seen = [f for f, _ in fac.factors]
-        assert len(set(seen)) == len(seen)
-        for f, e in fac.factors:
-            assert e >= 1
-            assert f.lead == 1
-            if f.degree <= 3:  # irreducibility spot check: no roots
-                if f.degree > 1:
-                    assert all(f(x) != 0 for x in range(p))
+        if rng.random() < 0.3:
+            P = P * random_poly(rng, p, 2) ** rng.randrange(2, 4)
+        unit, parts = squarefree_decomposition(P)
+        acc = constant(unit, p)
+        for i, s in parts.items():
+            assert i >= 1 and s.degree >= 1 and s.lead == 1
+            assert _gcd(s, s.derivative()).degree == 0
+            acc = acc * s**i
+        assert acc == P
+        for i, s in parts.items():
+            for j, t in parts.items():
+                assert i == j or _gcd(s, t).degree == 0
 
 
-def test_factor_deterministic_under_seed():
-    P = poly((3, 1, 4, 1, 5, 9, 2), 10007)
-    assert factor(P, seed=0) == factor(P, seed=0)
-    # different seeds may split in a different order but sort identically
-    assert factor(P, seed=1).factors == factor(P, seed=0).factors
+def test_factor_rejects_zero():
+    with pytest.raises(ValueError):
+        squarefree_decomposition(poly((), 7))
+    for fn in (lambda P: is_complete_power(P, 2), lambda P: admissible(P, 2)):
+        with pytest.raises(ValueError):
+            fn(poly((), 7))
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning:sympy")
-def test_factor_matches_sympy():
-    rng = random.Random(13)
-    x = sympy.Symbol("x")
-    for _ in range(25):
-        p = rng.choice([5, 7, 13, 101, 257])
-        P = random_poly(rng, p, 6)
-        fac = factor(P)
-        expr = sum(int(c) * x**i for i, c in enumerate(P.coeffs))
-        unit, sfac = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
-        got = {(f.coeffs, e) for f, e in fac.factors}
-        want = set()
-        for fpoly, e in sfac:
-            cs = [int(c) % p for c in reversed(sympy.Poly(fpoly, x, modulus=p).all_coeffs())]
-            q = poly(cs, p)
-            q = q.monic()
-            want.add((q.coeffs, e))
-        assert got == want
-
-
-def test_repeated_factors_with_char_multiplicities():
-    # multiplicity equal to p exercises the p-th root branch
-    p = 5
-    P = poly((1, 1), p) ** 5 * poly((2, 1), p) ** 2
-    fac = factor(P)
-    assert dict(((f.coeffs, e) for f, e in fac.factors)) == {(1, 1): 5, (2, 1): 2}
+def test_squarefree_decomposition_rejects_bad_moduli():
+    for q in (2, 9):
+        with pytest.raises(ValueError):
+            squarefree_decomposition(poly((1, 1), q))
+        with pytest.raises(ValueError):
+            admissible(poly((1, 0, 1), q), 3)
 
 
 # ---------------------------------------------------------------- predicates
@@ -252,10 +283,8 @@ def test_is_complete_power_random_property():
         e = rng.choice([2, 3, 4])
         while True:
             P = random_poly(rng, p, 3)
-            if P.degree >= 1:
-                fac = factor(P)
-                if all(m == 1 for _, m in fac.factors):
-                    break
+            if P.degree >= 1 and set(squarefree_decomposition(P)[1]) == {1}:
+                break
         assert is_complete_power(P**e, e)
         c = rng.randrange(p)
         if P(p - c) != 0:  # (x + c) does not divide P
@@ -383,3 +412,55 @@ def test_independence_rejects_bad_inputs():
         multiplicatively_independent([constant(3, p)])
     with pytest.raises(ValueError):
         multiplicatively_independent([poly((), p)])
+    with pytest.raises(ValueError, match="mixed moduli"):
+        multiplicatively_independent([x_poly(7), x_poly(11)])
+
+
+def _oracle_independence(fam):
+    """Rank and first dependent row's witness over sympy irreducibles."""
+    facs = [dict((f.coeffs, e) for f, e in _oracle_factors(P)[1]) for P in fam]
+    support = sorted(set().union(*facs))
+    M = sympy.Matrix([[fac.get(c, 0) for c in support] for fac in facs])
+    for i in range(len(fam)):
+        kernel = M[: i + 1, :].T.nullspace()
+        if kernel:
+            assert len(kernel) == 1  # rows before i are independent
+            ints = [int(v) for v in kernel[0] * sympy.ilcm(*[v.q for v in kernel[0]])]
+            g = math.gcd(*ints)
+            ints = [v // g for v in ints] + [0] * (len(fam) - i - 1)
+            sign = 1 if next(v for v in ints if v) > 0 else -1
+            return False, tuple(sign * v for v in ints)
+    return True, None
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:sympy")
+def test_independence_matches_irreducible_exponent_matrix():
+    # the coprime base of squarefree parts only merges columns of the
+    # matrix over irreducible factors, so rank and witness must agree
+    rng = random.Random(17)
+    dependent = 0
+    for trial in range(60):
+        p = rng.choice([7, 13, 101, 10007])
+        k = rng.randrange(2, 5)
+        if trial % 2:
+            base = random_poly(rng, p, 3)
+            base = base if base.degree >= 1 else base * x_poly(p)
+            fam = []
+            for _ in range(k):
+                bs = rng.sample(range(p), rng.randrange(1, 3))
+                es = [rng.randrange(3) for _ in bs]
+                es[0] = es[0] or 1
+                fam.append(shift_combination(base, 1 + rng.randrange(p - 1), bs, es))
+        else:
+            pool = [random_poly(rng, p, 2) for _ in range(3)]
+            pool = [P if P.degree >= 1 else P * x_poly(p) for P in pool]
+            fam = []
+            for _ in range(k):
+                P = constant(1 + rng.randrange(p - 1), p)
+                for Q in pool:
+                    P = P * Q ** rng.randrange(3)
+                fam.append(P if P.degree >= 1 else P * pool[0])
+        res = multiplicatively_independent(fam)
+        assert (res.independent, res.witness) == _oracle_independence(fam)
+        dependent += not res.independent
+    assert 10 <= dependent <= 50
