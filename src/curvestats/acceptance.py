@@ -1,16 +1,20 @@
 """The verification suite: twelve acceptance criteria with pinned seeds.
 
-Each criterion is a standalone runner returning a CriterionResult; the
-CLI ``verify`` subcommand and the test suite both dispatch here, so a
-criterion passes or fails identically in either harness.  Randomized
-criteria derive every draw from fixed seeds, making reruns exact.
+Each criterion is a check that returns ``(passed, detail)``, declared with
+its id and name once; ``RUNNERS`` maps each id to a runner that wraps the
+check in a CriterionResult.  The CLI ``verify`` subcommand and the test
+suite both dispatch here, so a criterion passes or fails identically in
+either harness.  Randomized criteria derive every draw from fixed seeds,
+making reruns exact.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +51,31 @@ class CriterionResult:
     detail: str
 
 
+RUNNERS: dict[int, Callable[[int], CriterionResult]] = {}
+
+
+def _criterion(cid: int, name: str):
+    """Register a check as criterion ``cid``.  The check returns
+    ``(passed, detail)``; the registered runner, also left under the
+    check's own name, wraps that in a CriterionResult, and reports a
+    crash as a failure named like any other."""
+
+    def register(check):
+        @functools.wraps(check)
+        def runner(threads: int = 1) -> CriterionResult:
+            try:
+                passed, detail = check(threads)
+            except Exception as e:  # a crash is a failure, not an excuse
+                passed, detail = False, repr(e)
+            return CriterionResult(cid, name, passed, detail)
+
+        runner.name = name
+        RUNNERS[cid] = runner
+        return runner
+
+    return register
+
+
 def _primes_upto(limit: int) -> list[int]:
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
@@ -66,7 +95,8 @@ def _random_poly(rng, p: int, max_deg: int) -> Poly:
 # ---------------------------------------------------------------- criteria
 
 
-def criterion_1(threads: int = 1) -> CriterionResult:
+@_criterion(1, "fiber oracle")
+def criterion_1(threads: int = 1) -> tuple[bool, str]:
     """Fiber sizes match exhaustive root counts on every small field."""
     rng = np.random.default_rng(10101)
     checked = 0
@@ -84,16 +114,13 @@ def criterion_1(threads: int = 1) -> CriterionResult:
                 C = curve(fs, ell, P)
                 want = root_counts[P.eval_vec(xs)]
                 if not np.array_equal(fiber_array(C, 0, p - 1), want):
-                    return CriterionResult(
-                        1, "fiber oracle", False, f"mismatch at p={p}, ell={ell}, P={P}"
-                    )
+                    return False, f"mismatch at p={p}, ell={ell}, P={P}"
                 checked += 1
-    return CriterionResult(
-        1, "fiber oracle", True, f"{checked} random curves against exhaustive root counts"
-    )
+    return True, f"{checked} random curves against exhaustive root counts"
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
+@_criterion(2, "sliding-window identity")
+def criterion_2(threads: int = 1) -> tuple[bool, str]:
     """Sliding-update window counts equal independent summation."""
     rng = np.random.default_rng(20202)
     primes = [101, 1009, 4999, 10007, 99991]
@@ -109,15 +136,12 @@ def criterion_2(threads: int = 1) -> CriterionResult:
         if not np.array_equal(
             window_counts(C, spec, threads=threads), window_counts_direct(C, spec)
         ):
-            return CriterionResult(
-                2, "sliding-window identity", False, f"mismatch on configuration {i}"
-            )
-    return CriterionResult(
-        2, "sliding-window identity", True, "100 random configurations, exact"
-    )
+            return False, f"mismatch on configuration {i}"
+    return True, "100 random configurations, exact"
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+@_criterion(3, "parity lemma")
+def criterion_3(threads: int = 1) -> tuple[bool, str]:
     """Gauss-lemma parity agrees with the Legendre symbol everywhere."""
     checked = 0
     for p in _primes_upto(300):
@@ -126,14 +150,13 @@ def criterion_3(threads: int = 1) -> CriterionResult:
         for a in range(1, p):
             _, ok = gauss_lemma_check(a, p)
             if not ok:
-                return CriterionResult(
-                    3, "parity lemma", False, f"failed at p={p}, a={a}"
-                )
+                return False, f"failed at p={p}, a={a}"
             checked += 1
-    return CriterionResult(3, "parity lemma", True, f"{checked} (p, a) pairs, exact")
+    return True, f"{checked} (p, a) pairs, exact"
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
+@_criterion(4, "walk enumerations")
+def criterion_4(threads: int = 1) -> tuple[bool, str]:
     """Exact enumeration inequalities for short walks."""
     runs = []
     for m in (3, 5):
@@ -145,13 +168,12 @@ def criterion_4(threads: int = 1) -> CriterionResult:
     runs.append(("b ell=2 m=3 L=2 k=2", exact_prop21b(2, 3, 2, 2)))
     bad = [tag for tag, res in runs if not res.passed]
     if bad:
-        return CriterionResult(4, "walk enumerations", False, f"failed: {bad}")
-    return CriterionResult(
-        4, "walk enumerations", True, f"{len(runs)} enumerations within bounds"
-    )
+        return False, f"failed: {bad}"
+    return True, f"{len(runs)} enumerations within bounds"
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
+@_criterion(5, "cancellation bounds")
+def criterion_5(threads: int = 1) -> tuple[bool, str]:
     """Character sums stay below the square-root cancellation bounds."""
     rng = np.random.default_rng(50505)
     fields = {p: FieldSpec.from_prime(p) for p in (10007, 100003)}
@@ -172,23 +194,15 @@ def criterion_5(threads: int = 1) -> CriterionResult:
         except HypothesisError:
             continue  # resample the measure-zero power-shaped draws
         if not sub.passed:
-            return CriterionResult(
-                5, "cancellation bounds", False,
-                f"incomplete bound failed: p={p}, ell={ell}, P={P}, [{lo},{hi}]",
-            )
+            return False, f"incomplete bound failed: p={p}, ell={ell}, P={P}, [{lo},{hi}]"
         if not full.complete_pass or not full.complete_twists:
-            return CriterionResult(
-                5, "cancellation bounds", False,
-                f"complete twisted bound failed: p={p}, ell={ell}, P={P}",
-            )
+            return False, f"complete twisted bound failed: p={p}, ell={ell}, P={P}"
         done += 1
-    return CriterionResult(
-        5, "cancellation bounds", True,
-        "100 random (P, ell, subinterval) configurations at p in {10007, 100003}",
-    )
+    return True, "100 random (P, ell, subinterval) configurations at p in {10007, 100003}"
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
+@_criterion(6, "census bounds")
+def criterion_6(threads: int = 1) -> tuple[bool, str]:
     """Stride censuses stay within their bounds and match brute force."""
     rng = np.random.default_rng(60606)
     p = 10007
@@ -204,10 +218,9 @@ def criterion_6(threads: int = 1) -> CriterionResult:
                 res = census_m(P, chi, stride, offsets, p - 2, v)
                 checked += 1
                 if not res.bound_ok:
-                    return CriterionResult(
-                        6, "census bounds", False,
+                    return False, (
                         f"plain census out of bound: P={P}, r={r}, v={v}, "
-                        f"residual={res.residual:.1f} > {res.main_bound + res.slack:.1f}",
+                        f"residual={res.residual:.1f} > {res.main_bound + res.slack:.1f}"
                     )
     pair = [x_poly(p), poly([1, 1], p)]
     for r in (1, 2):
@@ -219,10 +232,9 @@ def criterion_6(threads: int = 1) -> CriterionResult:
             res = joint_census(pair, chi, 1, offsets, p - 2, rows)
             checked += 1
             if not res.bound_ok:
-                return CriterionResult(
-                    6, "census bounds", False,
+                return False, (
                     f"joint census out of bound: r={r}, rows={rows}, "
-                    f"residual={res.residual:.1f}",
+                    f"residual={res.residual:.1f}"
                 )
     # exact recount matrix on small fields
     recounts = 0
@@ -251,17 +263,12 @@ def criterion_6(threads: int = 1) -> CriterionResult:
                 brute += ok
             recounts += 1
             if res.count != brute:
-                return CriterionResult(
-                    6, "census bounds", False,
-                    f"recount mismatch at p={q}: {res.count} != {brute}",
-                )
-    return CriterionResult(
-        6, "census bounds", True,
-        f"{checked} bound checks at p=10007 and {recounts} exact recounts",
-    )
+                return False, f"recount mismatch at p={q}: {res.count} != {brute}"
+    return True, f"{checked} bound checks at p=10007 and {recounts} exact recounts"
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
+@_criterion(7, "parity invariant")
+def criterion_7(threads: int = 1) -> tuple[bool, str]:
     """Window counts of quadratic curves have the parity of the root count."""
     rng = np.random.default_rng(70707)
     done = 0
@@ -280,14 +287,13 @@ def criterion_7(threads: int = 1) -> CriterionResult:
             [int(is_root[s : s + I].sum()) for s in range(scan_len)], dtype=np.int64
         )
         if not np.array_equal(counts % 2, roots % 2):
-            return CriterionResult(
-                7, "parity invariant", False, f"mismatch at p={p}, P={C.P}"
-            )
+            return False, f"mismatch at p={p}, P={C.P}"
         done += 1
-    return CriterionResult(7, "parity invariant", True, "50 random configurations, exact")
+    return True, "50 random configurations, exact"
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
+@_criterion(8, "diagonal joint mass")
+def criterion_8(threads: int = 1) -> tuple[bool, str]:
     """Cube curves from x and x^2 put no joint mass off the diagonal."""
     for p in (7, 13, 103):
         fs = FieldSpec.from_prime(p)
@@ -298,18 +304,15 @@ def criterion_8(threads: int = 1) -> CriterionResult:
             jh = joint_histogram([C1, C2], spec, m, threads=threads)
             off = sum(c for vec, c in jh.as_dict().items() if vec[0] != vec[1])
             if off != 0:
-                return CriterionResult(
-                    8, "diagonal joint mass", False, f"off-diagonal mass {off} at p={p}, m={m}"
-                )
-    return CriterionResult(
-        8, "diagonal joint mass", True, "p in {7, 13, 103}, m in {2, 5}, exact zeros"
-    )
+                return False, f"off-diagonal mass {off} at p={p}, m={m}"
+    return True, "p in {7, 13, 103}, m in {2, 5}, exact zeros"
 
 
 _CRIT9_SEED_BASE = 1000
 
 
-def criterion_9(threads: int = 1) -> CriterionResult:
+@_criterion(9, "model-calibrated uniformity")
+def criterion_9(threads: int = 1) -> tuple[bool, str]:
     """Curve discrepancy sits inside the walk model's bulk at p near 10^6."""
     p = 1000003
     fs = FieldSpec.from_prime(p)
@@ -331,45 +334,38 @@ def criterion_9(threads: int = 1) -> CriterionResult:
         q99s.append(model.q99)
     successes = sum(disc <= q for q in q99s)
     passed = successes >= 95 and rep.bound_pass
-    return CriterionResult(
-        9, "model-calibrated uniformity", passed,
+    return passed, (
         f"disc={disc:.3e}, below model q99 in {successes}/100 seeds, "
         f"q99 range [{min(q99s):.3e}, {max(q99s):.3e}], "
-        f"literal bound {rep.bound:.1f} {'passes' if rep.bound_pass else 'fails'}",
+        f"literal bound {rep.bound:.1f} {'passes' if rep.bound_pass else 'fails'}"
     )
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+@_criterion(10, "beta partition")
+def criterion_10(threads: int = 1) -> tuple[bool, str]:
     """Beta-residue windows partition, and the one-y condition splits at p/2."""
     primes = [q for q in _primes_upto(80) if q >= 5][:20]
     if len(primes) < 20:
-        return CriterionResult(10, "beta partition", False, "prime list too short")
+        return False, "prime list too short"
     for p in primes:
         fs = FieldSpec.from_prime(p)
         C = curve(fs, 2, x_poly(p))
         if not condition_star(C, Rect(0, p - 1, 1, p // 2)):
-            return CriterionResult(
-                10, "beta partition", False, f"half interval rejected at p={p}"
-            )
+            return False, f"half interval rejected at p={p}"
         if condition_star(C, Rect(0, p - 1, 0, p - 1)):
-            return CriterionResult(
-                10, "beta partition", False, f"full interval accepted at p={p}"
-            )
+            return False, f"full interval accepted at p={p}"
         I = 2 if p < 23 else 10
         scan = beta_residue_scan(fs, Fraction(1, 2), ScanSpec(0, p - I, I))
         if not np.all(scan.r_counts + scan.n_counts == I):
-            return CriterionResult(
-                10, "beta partition", False, f"partition failed at p={p}"
-            )
-    return CriterionResult(
-        10, "beta partition", True, "20 primes: partition exact, condition split at p/2"
-    )
+            return False, f"partition failed at p={p}"
+    return True, "20 primes: partition exact, condition split at p/2"
 
 
 _CRIT11_LENGTHS = (10, 20, 40, 80)
 
 
-def criterion_11(threads: int = 1) -> CriterionResult:
+@_criterion(11, "vanishing empty windows")
+def criterion_11(threads: int = 1) -> tuple[bool, str]:
     """Windows missing the nonresidue class die out as the window grows."""
     fs = FieldSpec.from_prime(1000003)
     counts = [cor4_exceptional(fs, 2, L, 1) for L in _CRIT11_LENGTHS]
@@ -377,13 +373,11 @@ def criterion_11(threads: int = 1) -> CriterionResult:
     halved = counts[-1] < counts[0] / 2
     passed = monotone and halved
     pairs = ", ".join(f"L={L}: {c}" for L, c in zip(_CRIT11_LENGTHS, counts))
-    return CriterionResult(
-        11, "vanishing empty windows", passed,
-        f"{pairs}; monotone={monotone}, L=80 count under half the L=10 count={halved}",
-    )
+    return passed, f"{pairs}; monotone={monotone}, L=80 count under half the L=10 count={halved}"
 
 
-def criterion_12(threads: int = 1) -> CriterionResult:
+@_criterion(12, "thread determinism")
+def criterion_12(threads: int = 1) -> tuple[bool, str]:
     """Thread count never changes a canonical report."""
     from . import cli
 
@@ -406,54 +400,23 @@ def criterion_12(threads: int = 1) -> CriterionResult:
                 path = os.path.join(tmp, f"r{i}_{t}.json")
                 code = cli.run(argv + ["--threads", t, "--out", path])
                 if code != 0:
-                    return CriterionResult(
-                        12, "thread determinism", False,
-                        f"{argv[0]} exited {code} with threads={t}",
-                    )
+                    return False, f"{argv[0]} exited {code} with threads={t}"
                 with open(path) as f:
                     canon.append(cli.canonical_json(json.load(f)["report"]))
             if canon[0] != canon[1]:
-                return CriterionResult(
-                    12, "thread determinism", False,
-                    f"{argv[0]} reports differ between 1 and 4 threads",
-                )
+                return False, f"{argv[0]} reports differ between 1 and 4 threads"
     disc_1 = model_reference(2, 3, 5, blocks=19998, trials=100, seed=3, threads=1)
     disc_4 = model_reference(2, 3, 5, blocks=19998, trials=100, seed=3, threads=4)
     if not np.array_equal(disc_1.discrepancies, disc_4.discrepancies):
-        return CriterionResult(
-            12, "thread determinism", False, "model discrepancy arrays differ"
-        )
-    return CriterionResult(
-        12, "thread determinism", True,
-        "3 canonical CLI reports and the model sample are byte-identical at 1 and 4 threads",
+        return False, "model discrepancy arrays differ"
+    return True, (
+        "3 canonical CLI reports and the model sample are byte-identical at 1 and 4 threads"
     )
 
 
-RUNNERS = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-}
-
-
 def run_all(threads: int = 1, only=None) -> list[CriterionResult]:
-    results = []
-    for cid in sorted(RUNNERS):
-        if only is not None and cid not in only:
-            continue
-        try:
-            results.append(RUNNERS[cid](threads=threads))
-        except Exception as e:  # a crash is a failure, not an excuse
-            results.append(
-                CriterionResult(cid, RUNNERS[cid].__doc__.splitlines()[0], False, repr(e))
-            )
-    return results
+    """Run every criterion, or those whose ids are in ``only``, in id order."""
+    unknown = sorted(set(only or ()) - RUNNERS.keys())
+    if unknown:
+        raise ValueError(f"unknown criterion ids {unknown}")
+    return [RUNNERS[cid](threads) for cid in sorted(RUNNERS) if only is None or cid in only]

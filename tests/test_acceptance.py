@@ -75,6 +75,26 @@ def test_run_all_reports_every_criterion():
     results = acceptance.run_all(only={3, 4})
     assert [r.cid for r in results] == [3, 4]
     assert all(r.passed for r in results)
+    # one registry: ids 1..12, distinct names, and each module-level
+    # criterion_<n> is the registered runner (the benchmark tracer wraps
+    # the attribute and rebinds the same object in RUNNERS)
+    assert sorted(acceptance.RUNNERS) == list(range(1, 13))
+    names = [runner.name for runner in acceptance.RUNNERS.values()]
+    assert len(set(names)) == len(names)
+    for n in acceptance.RUNNERS:
+        assert getattr(acceptance, f"criterion_{n}") is acceptance.RUNNERS[n]
+
+
+def test_crashed_criterion_fails_under_its_own_name(monkeypatch):
+    err = RuntimeError("boom")
+
+    def crash(a, p):
+        raise err
+
+    monkeypatch.setattr(acceptance, "gauss_lemma_check", crash)
+    assert acceptance.run_all(only={3}) == [
+        acceptance.CriterionResult(3, "parity lemma", False, repr(err))
+    ]
 
 
 # ------------------------------------------------------- frozen regressions

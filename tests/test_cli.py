@@ -132,6 +132,16 @@ def test_verify_subset(capsys):
     assert payload["report"]["results"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("only, unknown", [("13", "[13]"), ("0,3", "[0]")])
+def test_verify_unknown_criterion_ids_exit_1(only, unknown, capsys):
+    code = cli.run(["verify", "--only", only])
+    out = capsys.readouterr()
+    assert code == 1
+    assert f"validation failure: unknown criterion ids {unknown}" in out.err
+    assert "criterion  3" not in out.err
+    assert out.out == ""
+
+
 def test_prop21_part_c_needs_no_ell(capsys):
     code, payload, _ = run_json(capsys, ["prop21", "--part", "c", "--m", "3", "--block", "4"])
     assert code == 0
