@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import HypothesisError, InfeasibleModelError
 from .ffield import (
     Character,
     FieldSpec,
@@ -629,9 +629,9 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
 
     Enforces the fatal hypotheses, histograms the counts (count() returns
     the Histogram), compares the discrepancy with the explicit bound and
-    calibrates it against model(nblocks).  A model the exact DP cannot
-    build is skipped and recorded as a failed, non-fatal model_feasible
-    hypothesis.
+    calibrates it against model(nblocks).  A model past the exact DP's
+    feasibility guards is skipped and recorded as a failed, non-fatal
+    model_feasible hypothesis; any other error propagates.
     """
     for c in checks:
         if c.fatal and not c.passed:
@@ -643,7 +643,7 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
     disc = hist.discrepancy()
     try:
         summary = model(nblocks)
-    except ValueError as e:
+    except InfeasibleModelError as e:
         summary = None
         checks = [*checks, HypothesisCheck("model_feasible", False, str(e), fatal=False)]
     return ExperimentReport(

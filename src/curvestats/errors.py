@@ -15,3 +15,7 @@ class HypothesisError(Exception):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class InfeasibleModelError(ValueError):
+    """The exact block model exceeds one of its feasibility guards."""

@@ -8,9 +8,9 @@ x steps and Phi(L; m, a) the fraction of x <= L with Z_x = a (mod m).
 Besides Monte Carlo simulation of Phi, the module enumerates three
 variance-style double sums over all pairs of step sequences exactly (for
 parameters small enough to enumerate) and checks them against explicit
-bounds, and it builds the block model used to calibrate curve scans: a
-trial is N independent length-L walks, each started at a uniform residue,
-and the aggregated visit histogram yields a discrepancy sample.
+bounds.  It also builds the block model that calibrates curve scans: a
+discrepancy sample sums the visit histograms of N length-L walks from
+uniform starts, drawn from their exact law (a DP over walker-centred counts).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import HypothesisError, InfeasibleModelError
 from .parallel import run_indexed
 
 __all__ = [
@@ -48,7 +48,7 @@ _MASK64 = (1 << 64) - 1
 # enumeration guard: pair spaces larger than this are refused
 FEASIBLE_LIMIT = 1 << 20
 
-# block-model DP guard on the number of (position, visit-vector) states
+# block-model DP guard on the number of re-centred visit-vector states
 _STATE_LIMIT = 1 << 18
 
 # block-model rotation works on at most this many counts at once
@@ -300,50 +300,45 @@ def _merge_rows(rows: np.ndarray, weights: np.ndarray):
 def _block_type_distribution(steps, m: int, k: int, L: int):
     """Exact distribution of a block's visit histogram over (Z/mZ)^k.
 
-    A block walks L steps from a uniformly random start in (Z/mZ)^k; the
-    distribution over visit-count vectors is computed by dynamic
-    programming over (position, counts) states, then averaged over the
-    uniform start by rotating the histogram.  Weights are integers in
-    units of 1/(D^L m^k), D the lcm of the step denominators, so the
-    arithmetic is exact; they are int64 when the total fits and Python
-    ints otherwise.  Returns a type matrix (T, m^k), rows in lexicographic
-    order, and exact-turned-float probabilities (T,).
+    A block walks L steps from a uniformly random start in (Z/mZ)^k.  The
+    DP's states are visit counts re-centred on the walker at z (entry b
+    counts cell z + b): a step s moves entry b + s to b and adds a visit
+    at 0.  The histogram is the state rotated by z, and z is uniform when
+    the start is, so the last states are averaged over a uniform rotation.
+    Weights are integers in units of 1/(D^L m^k), D the lcm of the step
+    denominators, so the arithmetic is exact; they are int64 when the
+    total fits and Python ints otherwise.  Returns a type matrix (T, m^k),
+    rows in lexicographic order, and exact-turned-float probabilities (T,).
     """
     mk = m**k
     if mk > 4096:
-        raise ValueError("joint cell space too large for the block model")
+        raise InfeasibleModelError("joint cell space too large for the block model")
     radix = m ** np.arange(k)
     digits = (np.arange(mk)[:, None] // radix) % m  # cell code -> (z_0, ..., z_{k-1})
-    vecs = np.array([sv for sv, _ in steps], dtype=np.int64)
-    move = ((digits[:, None, :] + vecs[None, :, :]) % m) @ radix  # [cell, step] -> next cell
+    shift = ((digits[None, :, :] - digits[:, None, :]) % m) @ radix  # [u, b] -> cell b - u
+    ahead = shift[(-np.array([sv for sv, _ in steps]) % m) @ radix]  # [step, b] -> cell b + step
     D = math.lcm(*(sp.denominator for _, sp in steps))
     step_w = [int(sp * D) for _, sp in steps]
     # every weight is at most the grand total sum(step_w)^L * m^k
     wtype = np.int64 if sum(step_w) ** L * mk < 2**63 else object
     step_w = np.array(step_w, dtype=wtype)
 
-    # one row (position, counts[0..mk-1]) per state; block j of the
-    # candidate rows is every state moved by step j
-    rows = np.zeros((1, 1 + mk), dtype=np.min_scalar_type(max(L, mk - 1)))
+    # row i * len(steps) + j of the candidates is state i moved by step j
+    rows = np.zeros((1, mk), dtype=np.min_scalar_type(L))
     weights = np.ones(1, dtype=wtype)
     for _ in range(L):
-        pos = move[rows[:, 0]].T.ravel()
-        nxt = np.tile(rows, (len(steps), 1))
-        nxt[:, 0] = pos
-        nxt[np.arange(len(nxt)), 1 + pos] += 1
-        rows, weights = _merge_rows(nxt, np.outer(step_w, weights).ravel())
+        nxt = rows[:, ahead].reshape(-1, mk)
+        nxt[:, 0] += 1
+        rows, weights = _merge_rows(nxt, np.outer(weights, step_w).ravel())
         if len(rows) > _STATE_LIMIT:
-            raise ValueError("block model state space exceeds the feasibility guard")
-    counts, weights = _merge_rows(rows[:, 1:], weights)
+            raise InfeasibleModelError("block model state space exceeds the feasibility guard")
 
-    # rotate by a uniform start u: a visit at cell b becomes a visit at b + u,
-    # so counts[:, shift[u]] is the rotated histogram; rotating a bounded
-    # number of rows at a time keeps any (S, mk, mk) array out of memory
-    shift = ((digits[None, :, :] - digits[:, None, :]) % m) @ radix  # [u, b] -> cell b - u
+    # rotate by a uniform start u (rows[:, shift[u]] moves a visit at b to b + u),
+    # a bounded number of rows at a time so that no (S, mk, mk) array is built
     chunk = max(1, _ROTATE_ELEMENTS // (mk * mk))
     parts = [
-        _merge_rows(counts[i : i + chunk][:, shift].reshape(-1, mk), np.repeat(weights[i : i + chunk], mk))
-        for i in range(0, len(counts), chunk)
+        _merge_rows(rows[i : i + chunk][:, shift].reshape(-1, mk), np.repeat(weights[i : i + chunk], mk))
+        for i in range(0, len(rows), chunk)
     ]
     types, weights = _merge_rows(np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts]))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from curvestats import cli
+from curvestats import cli, rwalk
 
 
 def run_json(capsys, argv):
@@ -173,10 +173,15 @@ def test_infeasible_model_is_a_named_nonfatal_skip(command, capsys):
     assert "cell space too large" in check["detail"]
 
 
-def test_state_space_guard_is_a_named_nonfatal_skip(capsys):
-    # 3^2 cells pass the cell guard; at L = 11 the DP's states do not
+def _joint_args(block):
     args = ["joint", "--m", "3", "--poly", "1,1,0,1", "--poly", "2,0,1", *EXPERIMENT_ARGS]
-    args[args.index("--block") + 1] = "11"
+    args[args.index("--block") + 1] = str(block)
+    return args
+
+
+def test_state_space_guard_is_a_named_nonfatal_skip(capsys):
+    # 3^2 cells pass the cell guard; at L = 15 the DP's re-centred states do not
+    args = _joint_args(15)
     code, payload, _ = run_json(capsys, args)
     assert code == 0
     assert payload["report"]["results"]["model"] is None
@@ -184,6 +189,23 @@ def test_state_space_guard_is_a_named_nonfatal_skip(capsys):
     assert check["name"] == "model_feasible"
     assert check["passed"] is False and check["fatal"] is False
     assert check["detail"] == "block model state space exceeds the feasibility guard"
+
+
+def test_joint_model_feasible_at_block_11(capsys):
+    code, payload, _ = run_json(capsys, _joint_args(11))
+    assert code == 0
+    assert payload["report"]["results"]["model"] is not None
+    assert "model_feasible" not in {h["name"] for h in payload["report"]["hypotheses"]}
+
+
+def test_model_error_past_the_guards_exits_1(monkeypatch, capsys):
+    def dp(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(rwalk, "_block_type_distribution", dp)
+    code, payload, err = run_json(capsys, PHI_ARGS)
+    assert code == 1 and payload is None
+    assert "validation failure: boom" in err
 
 
 def test_feasible_model_adds_no_model_feasible_check(capsys):

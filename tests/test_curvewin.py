@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvestats import curvewin, ffield
+from curvestats import curvewin, ffield, rwalk
 from curvestats.curvewin import (
     BetaScan,
     Curve,
@@ -39,7 +39,7 @@ from curvestats.curvewin import (
     window_counts,
     window_counts_direct,
 )
-from curvestats.errors import HypothesisError
+from curvestats.errors import HypothesisError, InfeasibleModelError
 from curvestats.ffield import FieldSpec, char_index, char_indices, legendre
 from curvestats.polyff import Poly, admissible, poly, x_poly
 
@@ -781,6 +781,27 @@ def test_thm1_report_regression():
     ]
     regime = rep.hypotheses[-1]
     assert not regime.passed and not regime.fatal
+
+
+def test_thm1_model_errors_past_the_guards_propagate(monkeypatch):
+    # only a feasibility guard becomes a non-fatal model_feasible skip; any
+    # other error of the DP must not pass for an infeasible model
+    fs = _field(10007)
+    C = curve(fs, 2, poly([1, 1, 0, 1], 10007))
+
+    def failing(exc):
+        def dp(*args):
+            raise exc
+        return dp
+
+    monkeypatch.setattr(rwalk, "_block_type_distribution", failing(InfeasibleModelError("guard")))
+    rep = experiment_thm1(C, _spec10007(), m=3, trials=5, seed=7)
+    assert rep.model is None and rep.model_pass is None
+    check = rep.hypotheses[-1]
+    assert (check.name, check.passed, check.fatal, check.detail) == ("model_feasible", False, False, "guard")
+    monkeypatch.setattr(rwalk, "_block_type_distribution", failing(ValueError("boom")))
+    with pytest.raises(ValueError, match="^boom$"):
+        experiment_thm1(C, _spec10007(), m=3, trials=5, seed=7)
 
 
 def test_thm1_modulus_one_trivial():

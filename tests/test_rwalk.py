@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvestats import rwalk
 from curvestats.errors import HypothesisError
 from curvestats.rwalk import (
     WalkConfig,
@@ -492,9 +493,36 @@ def test_joint_model_and_guard():
     assert ms.q99 >= 0
     with pytest.raises(ValueError, match="^joint cell space too large for the block model$"):
         model_reference_joint(2, 100, 3, 2, blocks=10, trials=10, seed=0)
-    # 3^2 cells pass the cell guard; at L = 11 the DP reaches 393822 states
+    # 3^2 cells pass the cell guard; at L = 15 the DP reaches C(22, 8) =
+    # 319770 re-centred states
     with pytest.raises(ValueError, match="^block model state space exceeds the feasibility guard$"):
-        model_reference_joint(2, 3, 11, 2, blocks=10, trials=10, seed=0)
+        model_reference_joint(2, 3, 15, 2, blocks=10, trials=10, seed=0)
+
+
+def test_joint_block_types_feasible_at_l11():
+    # every histogram of 11 visits over 9 cells, C(19, 8) of them
+    types, probs = _block_type_distribution(_power_steps(2, 3, 2), 3, 2, 11)
+    assert types.shape == (math.comb(19, 8), 9)
+    assert (types.sum(axis=1) == 11).all()
+    assert abs(probs.sum() - 1) <= 1e-12
+
+
+def test_block_type_dp_keeps_no_position(monkeypatch):
+    # re-centred states are m^k = 9 counts wide; the largest merge is the
+    # rotation of the C(15, 8) = 6435 final states over 9 start cells
+    widths, lengths = set(), []
+
+    def spy(rows, weights):
+        widths.add(rows.shape[1])
+        lengths.append(len(rows))
+        return merge(rows, weights)
+
+    merge = rwalk._merge_rows
+    monkeypatch.setattr(rwalk, "_merge_rows", spy)
+    types, _ = _block_type_distribution(_power_steps(2, 3, 2), 3, 2, 8)
+    assert len(types) == math.comb(16, 8)
+    assert widths == {9}
+    assert max(lengths) <= 57915
 
 
 def test_model_validation():
