@@ -24,8 +24,8 @@ for a in (2, 3, 5, 7):
 # windows of length L with no quadratic nonresidue become rare fast
 fs = FieldSpec.from_prime(100003)
 print("windows with no nonresidue over F_100003:")
-for L in (5, 8, 11, 14, 17, 20):
-    n = cor4_exceptional(fs, 2, L, 1)
+lengths = (5, 8, 11, 14, 17, 20)
+for L, n in zip(lengths, cor4_exceptional(fs, 2, lengths, 1)):
     print(f"  L = {L:2d}: {n:6d} exceptional starts "
           f"(crude scale p/2^L = {fs.p / 2**L:9.1f})")
 

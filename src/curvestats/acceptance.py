@@ -368,7 +368,7 @@ _CRIT11_LENGTHS = (10, 20, 40, 80)
 def criterion_11(threads: int = 1) -> tuple[bool, str]:
     """Windows missing the nonresidue class die out as the window grows."""
     fs = FieldSpec.from_prime(1000003)
-    counts = [cor4_exceptional(fs, 2, L, 1) for L in _CRIT11_LENGTHS]
+    counts = cor4_exceptional(fs, 2, _CRIT11_LENGTHS, 1)
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))
     halved = counts[-1] < counts[0] / 2
     passed = monotone and halved

@@ -456,11 +456,8 @@ def _cmd_gaps(cfg: dict) -> tuple[dict, list]:
     _require(cfg, ["p", "ell", "mu", "window"])
     fs = _field(cfg)
     lengths = _parse_int_list(cfg["window"], "window")
-    counts = [
-        {"L": L, "count": cor4_exceptional(fs, cfg["ell"], L, cfg["mu"])}
-        for L in lengths
-    ]
-    values = [c["count"] for c in counts]
+    values = cor4_exceptional(fs, cfg["ell"], lengths, cfg["mu"])
+    counts = [{"L": L, "count": c} for L, c in zip(lengths, values)]
     return {"counts": counts, "monotone": values == sorted(values, reverse=True)}, []
 
 

@@ -534,14 +534,16 @@ def gauss_lemma_check(a: int, p: int) -> tuple[int, bool]:
     return r, ok
 
 
-def cor4_exceptional(fs: FieldSpec, ell: int, L_window: int, mu: int) -> int:
-    """#{x0 in [0, p-1-L] : no x in [x0, x0+L) has character index mu}."""
+def cor4_exceptional(fs: FieldSpec, ell: int, lengths, mu: int) -> list[int]:
+    """#{x0 in [0, p-1-L] : no x in [x0, x0+L) has character index mu}, for
+    each window length L in lengths, from one pass over the field."""
     p = fs.p
     if ell < 2:
         raise ValueError("ell must be at least 2")
     if (p - 1) % ell != 0:
         raise HypothesisError("p_equiv_1_mod_ell", f"p = {p}, ell = {ell}")
-    if not 1 <= L_window <= p:
+    lengths = list(lengths)
+    if not all(1 <= L <= p for L in lengths):
         raise ValueError("window length must lie in [1, p]")
     chi = character(fs, ell)
     if not 0 <= mu < chi.d:
@@ -551,8 +553,8 @@ def cor4_exceptional(fs: FieldSpec, ell: int, L_window: int, mu: int) -> int:
     # S's dtype, so int32 halves both S and that temporary
     S = np.zeros(hi + 2, dtype=np.int32 if p < 1 << 31 else np.int64)
     np.cumsum(char_indices(chi, np.arange(hi + 1, dtype=np.int64)) == mu, out=S[1:])
-    n_pos = p - L_window  # x0 in [0, p-1-L]
-    return int(np.count_nonzero(S[L_window : L_window + n_pos] == S[:n_pos]))
+    # x0 runs over [0, p-1-L]
+    return [int(np.count_nonzero(S[L:p] == S[: p - L])) for L in lengths]
 
 
 # ---------------------------------------------------------------- experiments

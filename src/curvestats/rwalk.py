@@ -5,12 +5,14 @@ draws from the ell-th roots of unity and F(v) = 1 + v + ... + v^(ell-1),
 so F equals ell at v = 1 and 0 elsewhere.  Z_x is the partial sum after
 x steps and Phi(L; m, a) the fraction of x <= L with Z_x = a (mod m).
 
-Besides Monte Carlo simulation of Phi, the module enumerates three
-variance-style double sums over all pairs of step sequences exactly (for
-parameters small enough to enumerate) and checks them against explicit
-bounds.  It also builds the block model that calibrates curve scans: a
-discrepancy sample sums the visit histograms of N length-L walks from
-uniform starts, drawn from their exact law (a DP over walker-centred counts).
+Besides Monte Carlo simulation of Phi, the module evaluates three
+variance-style double sums over all pairs of step sequences (for parameters
+small enough to enumerate) and checks them against explicit bounds.  By
+orthogonality each sum is an exact integer count of pairs of prefix
+differences that agree mod m, so no exponential is ever summed.  It also
+builds the block model that calibrates curve scans: a discrepancy sample
+sums the visit histograms of N length-L walks from uniform starts, drawn
+from their exact law (a DP over walker-centred counts).
 """
 
 from __future__ import annotations
@@ -165,13 +167,6 @@ class EnumResult:
         return cls(lhs=lhs, bound=bound, passed=lhs <= bound * (1 + 1e-6))
 
 
-def _inner_table(m: int) -> np.ndarray:
-    """T[z] = sum over t in [1, m-1] of exp(2 pi i t z / m)."""
-    z = np.arange(m)
-    t = np.arange(1, m)
-    return np.exp(2j * np.pi * np.outer(z, t) / m).sum(axis=1)
-
-
 def _prefix_sums(digits: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Map digit matrix (V, L) through a value table and prefix-sum rows."""
     return values[digits].cumsum(axis=1)
@@ -183,20 +178,30 @@ def _digit_matrix(base: int, L: int) -> np.ndarray:
     return (seq[:, None] // base ** np.arange(L)[None, :]) % base
 
 
-def _pair_sum(cum: np.ndarray, m: int) -> float:
-    """Sum over ordered sequence pairs and all a of |sum_x T[(D_x - a) mod m]|^2."""
-    if m == 1:
-        return 0.0
+def _pair_sum(cum: np.ndarray, m: int, k: int = 1) -> int:
+    """Sum over k-tuples of ordered row pairs and all a in (Z/mZ)^k of
+    |sum_x sum_{t != 0} e_m(t . (D_x - a))|^2, in integers.
+
+    The inner sum over t is m^k [D_x = a] - 1, so the whole sum is
+    m^(2k) sum_{x,y} S(x,y)^k - V^(2k) m^k L^2 with S(x,y) = sum_r n_r^2,
+    where n_r counts the rows i with cum_i[x] - cum_i[y] = r (mod m).
+    """
     V, L = cum.shape
-    T = _inner_table(m)
-    lhs = 0.0
-    chunk = max(1, (1 << 22) // max(1, V * L))
-    for i0 in range(0, V, chunk):
-        D = cum[i0 : i0 + chunk, None, :] - cum[None, :, :]
-        for a in range(m):
-            S = T[(D - a) % m].sum(axis=2)
-            lhs += float((S.real**2 + S.imag**2).sum())
-    return lhs
+    # row x * L + y holds the residues cum_i[x] - cum_i[y] sorted over i,
+    # so the n_r are its runs of equal values
+    d = np.sort(((cum[:, :, None] - cum[:, None, :]) % m).reshape(V, L * L).T, axis=1)
+    starts = np.flatnonzero(np.diff(d, axis=1, prepend=-1))
+    n = np.diff(starts, append=d.size)
+    S = np.add.reduceat(n * n, np.flatnonzero(starts % V == 0))
+    # S^k <= V^(2k), which the feasibility guards keep within 2^20
+    return m ** (2 * k) * int((S**k).sum()) - V ** (2 * k) * m**k * L**2
+
+
+def _power_cum(ell: int, L: int) -> np.ndarray:
+    """Prefix sums of F over every length-L root sequence (F = ell at the root 1)."""
+    fvals = np.zeros(ell, dtype=np.int64)
+    fvals[0] = ell
+    return _prefix_sums(_digit_matrix(ell, L), fvals)
 
 
 def exact_prop21a(ell: int, m: int, L: int) -> EnumResult:
@@ -207,13 +212,9 @@ def exact_prop21a(ell: int, m: int, L: int) -> EnumResult:
         raise HypothesisError("gcd_m_ell", f"gcd({ell}, {m}) != 1")
     if ell ** (2 * L) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of {ell}^(2*{L}) pairs exceeds the feasibility guard")
-    digits = _digit_matrix(ell, L)
-    fvals = np.zeros(ell, dtype=np.int64)
-    fvals[0] = ell  # F = ell at the root 1, 0 at every other root
-    cum = _prefix_sums(digits, fvals)
-    lhs = _pair_sum(cum, m)
+    lhs = _pair_sum(_power_cum(ell, L), m)
     bound = float(7 * m**4 * L * ell ** (2 * L + 2))
-    return EnumResult.compare(lhs, bound)
+    return EnumResult.compare(float(lhs), bound)
 
 
 def exact_prop21c(m: int, L: int) -> EnumResult:
@@ -222,11 +223,9 @@ def exact_prop21c(m: int, L: int) -> EnumResult:
         raise ValueError("need m >= 1, L >= 1")
     if 2 ** (2 * L) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of 2^(2*{L}) pairs exceeds the feasibility guard")
-    digits = _digit_matrix(2, L)
-    cum = digits.cumsum(axis=1)
-    lhs = _pair_sum(cum, m)
+    lhs = _pair_sum(_digit_matrix(2, L).cumsum(axis=1), m)
     bound = float(2 ** (2 * L + 2) * m**4 * L)
-    return EnumResult.compare(lhs, bound)
+    return EnumResult.compare(float(lhs), bound)
 
 
 def exact_prop21b(ell: int, m: int, L: int, k: int) -> EnumResult:
@@ -237,36 +236,9 @@ def exact_prop21b(ell: int, m: int, L: int, k: int) -> EnumResult:
         raise HypothesisError("gcd_m_ell", f"gcd({ell}, {m}) != 1")
     if ell ** (2 * L * k) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of {ell}^(2*{L}*{k}) pair tuples exceeds the feasibility guard")
+    lhs = _pair_sum(_power_cum(ell, L), m, k)
     bound = float(7 * m ** (2 * k + 2) * L * ell ** (2 * L * k + 2))
-    if m == 1:
-        return EnumResult.compare(0.0, bound)
-    digits = _digit_matrix(ell, L)
-    fvals = np.zeros(ell, dtype=np.int64)
-    fvals[0] = ell
-    cum = _prefix_sums(digits, fvals)
-    V = cum.shape[0]
-    diffs = (cum[:, None, :] - cum[None, :, :]).reshape(V * V, L)  # one walk's pair space
-    npairs = V * V
-    total = npairs**k
-    em = np.exp(2j * np.pi * np.arange(m) / m)
-    lhs = 0.0
-    chunk = max(1, (1 << 20) // max(1, L * k))
-    for c0 in range(0, total, chunk):
-        comb = np.arange(c0, min(c0 + chunk, total))
-        Z = np.stack(
-            [diffs[(comb // npairs**l) % npairs] for l in range(k)], axis=1
-        )  # (chunk, k, L)
-        for avec in itertools.product(range(m), repeat=k):
-            acc = np.zeros(len(comb), dtype=np.complex128)
-            for tvec in itertools.product(range(m), repeat=k):
-                if not any(tvec):
-                    continue
-                phase = np.zeros(Z.shape[::2], dtype=np.int64)  # (chunk, L)
-                for l in range(k):
-                    phase += tvec[l] * (Z[:, l, :] - avec[l])
-                acc += em[phase % m].sum(axis=1)
-            lhs += float((acc.real**2 + acc.imag**2).sum())
-    return EnumResult.compare(lhs, bound)
+    return EnumResult.compare(float(lhs), bound)
 
 
 # ---------------------------------------------------------------- block model
@@ -372,48 +344,36 @@ def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary
     )
 
 
-def _power_steps(ell: int, m: int, k: int):
-    """Independent per-coordinate steps F(v) - F(v') reduced mod m."""
-    q = Fraction(1, ell)
+def _steps(a: int, q, m: int, k: int):
+    """Steps v - v' reduced mod m in each of k independent coordinates, where
+    v and v' are independently a with probability q and 0 otherwise."""
+    q = Fraction(q)
     pq = q * (1 - q)
     single = {}
-    for value, pr in ((ell % m, pq), ((-ell) % m, pq), (0, 1 - 2 * pq)):
+    for value, pr in ((a % m, pq), ((-a) % m, pq), (0, 1 - 2 * pq)):
         single[value] = single.get(value, Fraction(0)) + pr
-    single_items = sorted(single.items())
-    steps = []
-    for combo in itertools.product(single_items, repeat=k):
-        vec = tuple(v for v, _ in combo)
-        pr = math.prod([c[1] for c in combo], start=Fraction(1))
-        steps.append((vec, pr))
-    return steps
-
-
-def _bernoulli_steps(alpha, m: int):
-    """Steps v - v' reduced mod m, with v, v' independent Bernoulli(alpha)."""
-    a = Fraction(alpha)
-    if not 0 <= a <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    paq = a * (1 - a)
-    single = {}
-    for value, pr in ((1 % m, paq), ((-1) % m, paq), (0, 1 - 2 * paq)):
-        single[value] = single.get(value, Fraction(0)) + pr
-    return [((v,), pr) for v, pr in sorted(single.items())]
+    return [
+        (tuple(v for v, _ in combo), math.prod([pr for _, pr in combo], start=Fraction(1)))
+        for combo in itertools.product(sorted(single.items()), repeat=k)
+    ]
 
 
 def model_reference(ell, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:
     """Discrepancy distribution of N-block walks matching a curve scan."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    return _model_core(_power_steps(ell, m, 1), m, 1, L, blocks, trials, seed, threads)
+    return _model_core(_steps(ell, Fraction(1, ell), m, 1), m, 1, L, blocks, trials, seed, threads)
 
 
 def model_reference_joint(ell, m, L, k, blocks, trials, seed, threads: int = 1) -> ModelSummary:
     """Joint k-walk variant: independent coordinates, cells in (Z/mZ)^k."""
     if ell < 2 or k < 1:
         raise ValueError("need ell >= 2 and k >= 1")
-    return _model_core(_power_steps(ell, m, k), m, k, L, blocks, trials, seed, threads)
+    return _model_core(_steps(ell, Fraction(1, ell), m, k), m, k, L, blocks, trials, seed, threads)
 
 
 def model_reference_bernoulli(alpha, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:
     """Restricted-domain variant: steps v - v' with v, v' Bernoulli(alpha)."""
-    return _model_core(_bernoulli_steps(alpha, m), m, 1, L, blocks, trials, seed, threads)
+    if not 0 <= Fraction(alpha) <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+    return _model_core(_steps(1, alpha, m, 1), m, 1, L, blocks, trials, seed, threads)

@@ -116,7 +116,7 @@ def test_empty_window_counts_regression():
     from curvestats.curvewin import cor4_exceptional
 
     fs = FieldSpec.from_prime(1000003)
-    got = [cor4_exceptional(fs, 2, L, 1) for L in (10, 20, 40, 80)]
+    got = cor4_exceptional(fs, 2, [10, 20, 40, 80], 1)
     assert got == [948, 0, 0, 0]
 
 

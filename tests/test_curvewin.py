@@ -696,50 +696,70 @@ def test_cor4_f13_window_one():
     fs = _field(13)
     # exceptional x0 for a length-1 window at the nonresidue class:
     # x0 = 0 plus the five quadratic residues below 12
-    assert cor4_exceptional(fs, 2, 1, 1) == 6
+    assert cor4_exceptional(fs, 2, [1], 1) == [6]
 
 
 def test_cor4_full_window_no_exceptions():
     for p in (13, 31):
         fs = _field(p)
-        assert cor4_exceptional(fs, 2, p, 0) == 0
-        assert cor4_exceptional(fs, 2, p, 1) == 0
+        assert cor4_exceptional(fs, 2, [p], 0) == [0]
+        assert cor4_exceptional(fs, 2, [p], 1) == [0]
 
 
 def test_cor4_monotone_in_window_length():
     fs = _field(103)
     for mu in (0, 1):
-        counts = [cor4_exceptional(fs, 2, L, mu) for L in range(1, 13)]
+        counts = cor4_exceptional(fs, 2, range(1, 13), mu)
         assert counts == sorted(counts, reverse=True)
 
 
+def _cor4_brute(chi, p, L, mu):
+    return sum(
+        not any(x != 0 and char_index(chi, x) == mu for x in range(x0, x0 + L))
+        for x0 in range(p - L)
+    )
+
+
 def test_cor4_matches_brute_force():
-    from curvestats.ffield import character, char_index
+    from curvestats.ffield import character
 
     for p, ell in ((31, 2), (31, 3), (31, 5)):
         fs = _field(p)
         chi = character(fs, ell)
         for mu in range(chi.d):
-            for L in (1, 2, 3, 5):
-                brute = 0
-                for x0 in range(p - L):
-                    hit = any(
-                        x != 0 and char_index(chi, x) == mu
-                        for x in range(x0, x0 + L)
-                    )
-                    brute += 0 if hit else 1
-                assert cor4_exceptional(fs, ell, L, mu) == brute
+            brute = [_cor4_brute(chi, p, L, mu) for L in (1, 2, 3, 5)]
+            assert cor4_exceptional(fs, ell, [1, 2, 3, 5], mu) == brute
+
+
+def test_cor4_indexes_the_field_once_for_all_lengths(monkeypatch):
+    from curvestats.ffield import character
+
+    calls = []
+
+    def spy(chi, xs):
+        calls.append(len(xs))
+        return index(chi, xs)
+
+    index = curvewin.char_indices
+    monkeypatch.setattr(curvewin, "char_indices", spy)
+    for p, ell, mu in ((31, 3, 1), (37, 2, 1), (61, 5, 4)):
+        calls.clear()
+        lengths = [7, 1, 4, 2]
+        got = cor4_exceptional(_field(p), ell, lengths, mu)
+        assert calls == [p - 1]
+        chi = character(_field(p), ell)
+        assert got == [_cor4_brute(chi, p, L, mu) for L in lengths]
 
 
 def test_cor4_validation():
     fs = _field(7)
     with pytest.raises(HypothesisError) as exc:
-        cor4_exceptional(fs, 5, 2, 0)
+        cor4_exceptional(fs, 5, [2], 0)
     assert exc.value.name == "p_equiv_1_mod_ell"
     with pytest.raises(ValueError):
-        cor4_exceptional(fs, 2, 0, 0)
+        cor4_exceptional(fs, 2, [1, 0], 0)
     with pytest.raises(ValueError):
-        cor4_exceptional(fs, 2, 2, 2)
+        cor4_exceptional(fs, 2, [2], 2)
 
 
 # ---------------------------------------------------------------- experiment drivers

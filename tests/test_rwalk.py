@@ -14,12 +14,11 @@ from curvestats import rwalk
 from curvestats.errors import HypothesisError
 from curvestats.rwalk import (
     WalkConfig,
-    _bernoulli_steps,
     _block_type_distribution,
     _digit_matrix,
     _pair_sum,
-    _power_steps,
     _prefix_sums,
+    _steps,
     _trial_gen,
     exact_prop21a,
     exact_prop21b,
@@ -51,6 +50,24 @@ def _integer_oracle(cum, m):
         for row in D:
             R = np.bincount(row, minlength=m)
             tot += int(((m * R - L) ** 2).sum())
+    return tot
+
+
+def _exp_sum_oracle(cum, m, k=1):
+    """The variance sum as written, in complex floats: over k-tuples of
+    ordered row pairs and all a in (Z/mZ)^k, |sum_x sum_{t != 0} e_m(t . (D_x - a))|^2."""
+    V, L = cum.shape
+    diffs = (cum[:, None, :] - cum[None, :, :]).reshape(V * V, L)
+    Z = diffs[np.array(list(itertools.product(range(V * V), repeat=k)))]  # (tuples, k, L)
+    em = np.exp(2j * np.pi * np.arange(m) / m)
+    tot = 0.0
+    for avec in itertools.product(range(m), repeat=k):
+        acc = np.zeros(len(Z), dtype=np.complex128)
+        for tvec in itertools.product(range(m), repeat=k):
+            if any(tvec):
+                phase = (np.array(tvec)[:, None] * (Z - np.array(avec)[:, None])).sum(axis=1)
+                acc += em[phase % m].sum(axis=1)
+        tot += float((acc.real**2 + acc.imag**2).sum())
     return tot
 
 
@@ -263,7 +280,7 @@ PROP21C_EXPECTED = {
 @pytest.mark.parametrize("ell,m,L", sorted(PROP21A_EXPECTED))
 def test_prop21a_regression_and_bound(ell, m, L):
     res = exact_prop21a(ell, m, L)
-    assert res.lhs == pytest.approx(PROP21A_EXPECTED[(ell, m, L)], rel=1e-9)
+    assert res.lhs == PROP21A_EXPECTED[(ell, m, L)]
     assert res.bound == 7 * m**4 * L * ell ** (2 * L + 2)
     assert res.passed
 
@@ -271,7 +288,7 @@ def test_prop21a_regression_and_bound(ell, m, L):
 @pytest.mark.parametrize("ell,m,L", [(2, 3, 2), (2, 5, 3), (3, 2, 3), (5, 2, 2)])
 def test_prop21a_matches_integer_oracle(ell, m, L):
     res = exact_prop21a(ell, m, L)
-    assert res.lhs == pytest.approx(_integer_oracle(_cum_power(ell, L), m), rel=1e-9)
+    assert res.lhs == _integer_oracle(_cum_power(ell, L), m)
 
 
 def test_prop21a_m1_is_exactly_zero():
@@ -301,13 +318,13 @@ def test_prop21_relabel_invariance():
         val = _pair_sum(_prefix_sums(digits, f), m)
         if base is None:
             base = val
-        assert val == pytest.approx(base, rel=1e-12)
+        assert val == base
 
 
 @pytest.mark.parametrize("m,L", sorted(PROP21C_EXPECTED))
 def test_prop21c_regression_and_bound(m, L):
     res = exact_prop21c(m, L)
-    assert res.lhs == pytest.approx(PROP21C_EXPECTED[(m, L)], rel=1e-9)
+    assert res.lhs == PROP21C_EXPECTED[(m, L)]
     assert res.bound == 2 ** (2 * L + 2) * m**4 * L
     assert res.passed
 
@@ -316,27 +333,25 @@ def test_prop21c_matches_integer_oracle():
     for m, L in [(2, 3), (3, 2), (4, 4)]:
         res = exact_prop21c(m, L)
         digits = _digit_matrix(2, L)
-        assert res.lhs == pytest.approx(_integer_oracle(digits.cumsum(axis=1), m), rel=1e-9)
+        assert res.lhs == _integer_oracle(digits.cumsum(axis=1), m)
 
 
 def test_prop21c_small_L1():
     # four pairs of one-bit sequences, small enough to check by hand count
     res = exact_prop21c(5, 1)
-    assert res.lhs == pytest.approx(_integer_oracle(_digit_matrix(2, 1).cumsum(axis=1), 5), rel=1e-9)
+    assert res.lhs == _integer_oracle(_digit_matrix(2, 1).cumsum(axis=1), 5)
     assert res.passed
 
 
 def test_prop21b_regression():
     res = exact_prop21b(2, 3, 2, 2)
-    assert res.lhs == pytest.approx(42624, rel=1e-9)
+    assert res.lhs == 42624
     assert res.passed
 
 
 def test_prop21b_k1_agrees_with_a():
     for ell, m, L in [(2, 3, 2), (2, 5, 3)]:
-        assert exact_prop21b(ell, m, L, 1).lhs == pytest.approx(
-            exact_prop21a(ell, m, L).lhs, rel=1e-9
-        )
+        assert exact_prop21b(ell, m, L, 1).lhs == exact_prop21a(ell, m, L).lhs
 
 
 def test_prop21b_matches_integer_oracle():
@@ -354,7 +369,35 @@ def test_prop21b_matches_integer_oracle():
             for l in range(k):
                 ok &= (Z[l] - avec[l]) % m == 0
             tot += (mk * int(ok.sum()) - L) ** 2
-    assert res.lhs == pytest.approx(tot, rel=1e-9)
+    assert res.lhs == tot
+
+
+@pytest.mark.parametrize("ell,m,L", [(2, 3, 3), (2, 5, 2), (3, 2, 2), (2, 1, 3), (3, 1, 2)])
+def test_prop21a_matches_exp_sum_oracle(ell, m, L):
+    assert exact_prop21a(ell, m, L).lhs == pytest.approx(_exp_sum_oracle(_cum_power(ell, L), m), rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("m,L", [(3, 3), (4, 2), (5, 1), (1, 3)])
+def test_prop21c_matches_exp_sum_oracle(m, L):
+    cum = _digit_matrix(2, L).cumsum(axis=1)
+    assert exact_prop21c(m, L).lhs == pytest.approx(_exp_sum_oracle(cum, m), rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "ell,m,L,k",
+    [(2, 3, 2, 1), (2, 3, 2, 2), (2, 5, 1, 2), (2, 3, 1, 3), (3, 2, 1, 2), (3, 2, 1, 3), (2, 1, 2, 2), (2, 1, 1, 3)],
+)
+def test_prop21b_matches_exp_sum_oracle(ell, m, L, k):
+    want = _exp_sum_oracle(_cum_power(ell, L), m, k)
+    assert exact_prop21b(ell, m, L, k).lhs == pytest.approx(want, rel=1e-9, abs=1e-6)
+
+
+def test_prop21_guard_edge_values():
+    # the largest enumerations the guard admits; values from the complex
+    # exponential-sum implementation, which took 0.8 s, 1.1 s and 8.2 s
+    assert exact_prop21a(2, 3, 10).lhs == 99265200
+    assert exact_prop21c(5, 10).lhs == 513364000
+    assert exact_prop21b(2, 3, 5, 2).lhs == 489591936
 
 
 def test_prop21b_m1_and_guard():
@@ -369,7 +412,7 @@ def test_prop21b_m1_and_guard():
 def test_block_types_match_path_enumeration():
     # brute force over all step paths and start residues for a tiny model
     ell, m, L = 2, 3, 2
-    types, probs = _block_type_distribution(_power_steps(ell, m, 1), m, 1, L)
+    types, probs = _block_type_distribution(_steps(ell, Fraction(1, ell), m, 1), m, 1, L)
     got = {tuple(t): p for t, p in zip(types.tolist(), probs)}
 
     q = Fraction(1, ell)
@@ -391,6 +434,21 @@ def test_block_types_match_path_enumeration():
         assert got[key] == pytest.approx(float(frac), abs=1e-12)
 
 
+@pytest.mark.parametrize("a,q,m,k", [(2, Fraction(1, 2), 3, 1), (3, Fraction(1, 3), 2, 2), (1, Fraction(1, 4), 3, 1),
+                                      (1, Fraction(0), 2, 1), (5, Fraction(1, 5), 5, 2), (2, Fraction(1, 2), 4, 3)])
+def test_steps_match_literal_law(a, q, m, k):
+    # each coordinate draws v, v' independently: a with probability q, else 0
+    want: dict[tuple, Fraction] = {}
+    draws = [(a, q), (0, 1 - q)]
+    for combo in itertools.product(itertools.product(draws, draws), repeat=k):
+        vec = tuple((v - w) % m for (v, _), (w, _) in combo)
+        pr = math.prod([pv * pw for (_, pv), (_, pw) in combo], start=Fraction(1))
+        want[vec] = want.get(vec, Fraction(0)) + pr
+    steps = _steps(a, q, m, k)
+    assert [sv for sv, _ in steps] == sorted(set(sv for sv, _ in steps))
+    assert dict(steps) == want
+
+
 # (3, 2, 2, 10) carries its weights as Python ints: 81^10 * 4 >= 2^63
 POWER_GRID = [
     (2, 3, 1, 5), (2, 3, 2, 8), (2, 3, 3, 3), (2, 100, 1, 5), (2, 250, 1, 5),
@@ -400,7 +458,7 @@ POWER_GRID = [
 
 @pytest.mark.parametrize("ell,m,k,L", POWER_GRID)
 def test_block_types_match_fraction_dp_power_steps(ell, m, k, L):
-    steps = _power_steps(ell, m, k)
+    steps = _steps(ell, Fraction(1, ell), m, k)
     types, probs = _block_type_distribution(steps, m, k, L)
     want_types, want_probs = _fraction_block_types(steps, m, k, L)
     assert types.dtype == want_types.dtype and np.array_equal(types, want_types)
@@ -411,7 +469,7 @@ def test_block_types_match_fraction_dp_power_steps(ell, m, k, L):
 @pytest.mark.parametrize("m,L", [(3, 5), (2, 6), (1, 3)])
 def test_block_types_match_fraction_dp_bernoulli_steps(alpha, m, L):
     # alpha in {0, 1} gives zero-probability steps, whose types stay with weight 0
-    steps = _bernoulli_steps(alpha, m)
+    steps = _steps(1, alpha, m, 1)
     types, probs = _block_type_distribution(steps, m, 1, L)
     want_types, want_probs = _fraction_block_types(steps, m, 1, L)
     assert np.array_equal(types, want_types)
@@ -443,7 +501,7 @@ def test_model_thread_determinism():
 def test_model_matches_per_trial_streams(m, k, L):
     # each trial's discrepancy, computed alone from a fresh trial_rng stream
     blocks, trials, seed = 400, 9, 2**63 + 5
-    types, probs = _block_type_distribution(_power_steps(2, m, k), m, k, L)
+    types, probs = _block_type_distribution(_steps(2, Fraction(1, 2), m, k), m, k, L)
     probs = probs / probs.sum()
     want = [
         float((((trial_rng(seed, t).multinomial(blocks, probs) @ types) / (blocks * L) - 1 / m**k) ** 2).sum())
@@ -501,7 +559,7 @@ def test_joint_model_and_guard():
 
 def test_joint_block_types_feasible_at_l11():
     # every histogram of 11 visits over 9 cells, C(19, 8) of them
-    types, probs = _block_type_distribution(_power_steps(2, 3, 2), 3, 2, 11)
+    types, probs = _block_type_distribution(_steps(2, Fraction(1, 2), 3, 2), 3, 2, 11)
     assert types.shape == (math.comb(19, 8), 9)
     assert (types.sum(axis=1) == 11).all()
     assert abs(probs.sum() - 1) <= 1e-12
@@ -519,7 +577,7 @@ def test_block_type_dp_keeps_no_position(monkeypatch):
 
     merge = rwalk._merge_rows
     monkeypatch.setattr(rwalk, "_merge_rows", spy)
-    types, _ = _block_type_distribution(_power_steps(2, 3, 2), 3, 2, 8)
+    types, _ = _block_type_distribution(_steps(2, Fraction(1, 2), 3, 2), 3, 2, 8)
     assert len(types) == math.comb(16, 8)
     assert widths == {9}
     assert max(lengths) <= 57915
