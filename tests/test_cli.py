@@ -268,6 +268,14 @@ def test_csv_unavailable_exits_2(capsys):
     assert "csv" in capsys.readouterr().err
 
 
+def test_beta_csv_without_modulus_exits_2(capsys):
+    # without --m a beta scan has no residue histogram to render
+    code = cli.run(["beta", "--p", "10007", "--beta", "1/3", "--window", "100", "--format", "csv"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert "csv" in out.err and out.out == ""
+
+
 def test_config_file_fills_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 11, "a": 3}))

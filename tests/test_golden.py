@@ -29,6 +29,10 @@ PHI = ["phi", *P, "--ell", "2", "--m", "3", "--poly", "1,1,0,1",
        "--window", "100", "--block", "5", "--trials", "50", "--seed", "7"]
 JOINT = ["joint", *P, "--ell", "2", "--m", "3", "--poly", "0,1", "--poly", "1,0,1",
          "--window", "100", "--block", "4", "--trials", "50", "--seed", "7"]
+RESTRICTED = ["restricted", *P, "--ell", "2", "--m", "3", "--poly", "0,1",
+              "--window", "100", "--block", "10", "--y-lo", "1", "--y-hi", "5003",
+              "--trials", "50", "--seed", "7"]
+BETA = ["beta", *P, "--beta", "1/3", "--m", "3", "--window", "100"]
 WALK = ["walk", "--ell", "2", "--m", "3", "--block", "50", "--trials", "20", "--seed", "5"]
 
 # case name -> (golden file, argv)
@@ -38,12 +42,10 @@ CASES = {
     "phi-csv": ("phi.csv", PHI + ["--format", "csv"]),
     "joint": ("joint.json", JOINT),
     "joint-csv": ("joint.csv", JOINT + ["--format", "csv"]),
-    "restricted": ("restricted.json", [
-        "restricted", *P, "--ell", "2", "--m", "3", "--poly", "0,1",
-        "--window", "100", "--block", "10", "--y-lo", "1", "--y-hi", "5003",
-        "--trials", "50", "--seed", "7",
-    ]),
-    "beta": ("beta.json", ["beta", *P, "--beta", "1/3", "--m", "3", "--window", "100"]),
+    "restricted": ("restricted.json", RESTRICTED),
+    "restricted-csv": ("restricted.csv", RESTRICTED + ["--format", "csv"]),
+    "beta": ("beta.json", BETA),
+    "beta-csv": ("beta.csv", BETA + ["--format", "csv"]),
     "walk-t1": ("walk.json", WALK + ["--threads", "1"]),
     "walk-t2": ("walk.json", WALK + ["--threads", "2"]),
     "prop21-a": ("prop21-a.json",
@@ -55,6 +57,9 @@ CASES = {
     "charsum": ("charsum.json", [
         "charsum", *P, "--ell", "2", "--poly", "1,1,0,1", "--lo", "100", "--hi", "5000",
     ]),
+    # the whole field, so both twist lists are filled: twists 1 and 3 checked, 2 skipped
+    "charsum-full": ("charsum-full.json",
+                     ["charsum", "--p", "10009", "--ell", "4", "--poly", "1,2,1"]),
     "census-one": ("census-one.json", [
         "census", *P, "--ell", "2", "--poly", "1,1,0,1", "--stride", "1",
         "--offsets", "0,1", "--count-range", "10005", "--v", "0,1",
