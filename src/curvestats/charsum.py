@@ -344,14 +344,6 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
     fibers = _star_fibers(C, rect)
     start = ((rect.x_lo + stride - 1) // stride) * stride
     xs = np.arange(start, rect.x_hi + 1, stride, dtype=np.int64)
-    if xs.size == 0:
-        return ShiftedCensusResult(
-            count=0,
-            prediction=Fraction(rect.x_size, stride)
-            * Fraction(rect.y_size, p) ** len(offs),
-            positions=0,
-            boundary_miss=0,
-        )
     prod = np.ones(xs.size, dtype=bool)
     miss = np.zeros(xs.size, dtype=bool)
     for h in offs:

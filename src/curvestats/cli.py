@@ -20,6 +20,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -114,16 +115,7 @@ def _model_json(model) -> dict | None:
 
 
 def _checks_json(checks) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "label": HYPOTHESIS_LABELS.get(c.name, c.name),
-            "passed": c.passed,
-            "fatal": c.fatal,
-            "detail": c.detail,
-        }
-        for c in checks
-    ]
+    return [{**asdict(c), "label": HYPOTHESIS_LABELS.get(c.name, c.name)} for c in checks]
 
 
 def _csv_rows(labels, counts, total) -> str:
@@ -138,17 +130,14 @@ def _csv_rows(labels, counts, total) -> str:
 def _report_csv(report: dict) -> str:
     """The CSV rendering of a report's primary histogram."""
     res = report["results"]
-    if "histogram" in res and res["histogram"] is not None:
-        h = res["histogram"]
+    h = res.get("histogram") or res.get("r_histogram")
+    if h is not None:
         return _csv_rows(range(h["m"]), h["counts"], h["total"])
     if "joint_histogram" in res:
         jh = res["joint_histogram"]
         labels = ["|".join(str(a) for a in cell["a"]) for cell in jh["cells"]]
         counts = [cell["count"] for cell in jh["cells"]]
         return _csv_rows(labels, counts, jh["total"])
-    if "r_histogram" in res and res["r_histogram"] is not None:
-        h = res["r_histogram"]
-        return _csv_rows(range(h["m"]), h["counts"], h["total"])
     if "class_counts" in res:
         counts = res["class_counts"]
         return _csv_rows(range(len(counts)), counts, res["total_steps"])
@@ -173,8 +162,11 @@ def emit(report: dict, fmt: str, path: str | None, duration: float) -> None:
     else:
         raise UsageError(f"unknown output format '{fmt}'")
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write output file: {e}")
     else:
         sys.stdout.write(text)
 
@@ -358,7 +350,7 @@ def _cmd_prop21(cfg: dict) -> tuple[dict, list]:
         enum = exact_prop21c(cfg["m"], cfg["block"])
     else:
         raise UsageError(f"unknown enumeration part '{part}'")
-    return {"part": part, "lhs": enum.lhs, "bound": enum.bound, "passed": enum.passed}, []
+    return {"part": part, **asdict(enum)}, []
 
 
 def _cmd_charsum(cfg: dict) -> tuple[dict, list]:
@@ -368,44 +360,12 @@ def _cmd_charsum(cfg: dict) -> tuple[dict, list]:
     chi = character(fs, cfg["ell"])
     lo = cfg.get("lo") if cfg.get("lo") is not None else 0
     hi = cfg.get("hi") if cfg.get("hi") is not None else fs.p - 1
-    rep = weil_check(P, chi, lo, hi)
-    res = {
-        "interval": [lo, hi],
-        "magnitude": rep.magnitude,
-        "bound": rep.bound,
-        "passed": rep.passed,
-        "tally": {
-            "d": rep.tally.d,
-            "counts": list(rep.tally.counts),
-            "zero_count": rep.tally.zero_count,
-        },
-        "complete_twists": [
-            {
-                "twist": t.twist,
-                "order": t.order,
-                "magnitude": t.magnitude,
-                "bound": t.bound,
-                "passed": t.passed,
-            }
-            for t in rep.complete_twists
-        ],
-        "skipped_twists": list(rep.skipped_twists),
-    }
-    return res, []
+    return {"interval": [lo, hi], **asdict(weil_check(P, chi, lo, hi))}, []
 
 
 def _census_json(res) -> dict:
-    return {
-        "count": res.count,
-        "prediction": _frac_json(res.prediction),
-        "residual": res.residual,
-        "main_bound": res.main_bound,
-        "slack": res.slack,
-        "main_bound_ok": res.main_bound_ok,
-        "bound_ok": res.bound_ok,
-        "regime_ok": res.regime_ok,
-        "regime_detail": res.regime_detail,
-    }
+    """A CensusResult or ShiftedCensusResult, its prediction as a fraction."""
+    return {**asdict(res), "prediction": _frac_json(res.prediction)}
 
 
 def _cmd_census(cfg: dict) -> tuple[dict, list]:
@@ -431,13 +391,7 @@ def _cmd_shifted(cfg: dict) -> tuple[dict, list]:
     rect = _rect(cfg, fs.p)
     offsets = _parse_int_list(cfg["offsets"], "offsets")
     stride = cfg.get("stride") if cfg.get("stride") is not None else 1
-    res = shifted_census(C, rect, offsets, stride)
-    return {
-        "count": res.count,
-        "prediction": _frac_json(res.prediction),
-        "positions": res.positions,
-        "boundary_miss": res.boundary_miss,
-    }, []
+    return _census_json(shifted_census(C, rect, offsets, stride)), []
 
 
 def _cmd_gauss(cfg: dict) -> tuple[dict, list]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -652,8 +652,7 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
         kind=kind,
         params={
             **params,
-            "x_start": spec.x_start, "scan_len": spec.scan_len,
-            "window_len": spec.window_len, "block_len": spec.block_len,
+            **asdict(spec),
             "blocks": nblocks, "trials": trials, "seed": seed,
         },
         hypotheses=checks,

@@ -82,6 +82,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["report"]["results"]["all_ok"] is True
 
 
+@pytest.mark.parametrize("target, reason", [
+    (".", "Is a directory"), ("missing/report.json", "No such file or directory"),
+])
+def test_unwritable_out_exits_2(target, reason, tmp_path, capsys):
+    code = cli.run(["gauss", "--p", "7", "--out", str(tmp_path / target)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert "cannot write output file" in out.err and reason in out.err
+    assert out.out == ""
+
+
 def test_gauss_single_multiplier(capsys):
     code, payload, _ = run_json(capsys, ["gauss", "--p", "11", "--a", "3"])
     assert code == 0
