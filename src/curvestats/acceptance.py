@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import census_m, joint_census, weil_check
+from .charsum import _weil_checks, census_m, joint_census
 from .curvewin import (
     Rect,
     ScanSpec,
@@ -189,8 +189,7 @@ def criterion_5(threads: int = 1) -> tuple[bool, str]:
         hi = int(rng.integers(lo, p))
         hi = min(hi, p - 1)
         try:
-            sub = weil_check(P, chi, lo, hi)
-            full = weil_check(P, chi, 0, p - 1)
+            sub, full = _weil_checks(P, chi, [(lo, hi), (0, p - 1)])
         except HypothesisError:
             continue  # resample the measure-zero power-shaped draws
         if not sub.passed:

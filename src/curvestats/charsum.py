@@ -135,6 +135,12 @@ def weil_check(P: Poly, chi: Character, lo: int, hi: int) -> WeilReport:
     sqrt(p); twists whose effective order e has P = c * R^e are skipped
     (the sum degenerates to a constant for them).
     """
+    return _weil_checks(P, chi, [(lo, hi)])[0]
+
+
+def _weil_checks(P: Poly, chi: Character, intervals) -> list[WeilReport]:
+    """weil_check over each (lo, hi) of intervals, from one squarefree
+    decomposition of P."""
     p = chi.field.p
     if chi.d < 2:
         raise ValueError("square-root cancellation needs a nontrivial character")
@@ -148,28 +154,33 @@ def weil_check(P: Poly, chi: Character, lo: int, hi: int) -> WeilReport:
             "P_not_complete_power",
             f"all factor multiplicities of {P} are divisible by d = {chi.d}",
         )
-    tally = incomplete_sum(P, chi, lo, hi)
-    mag = tally.magnitude()
     bound = 2 * (P.degree + 1) * math.sqrt(p) * math.log(p)
-    twists: list[TwistCheck] = []
-    skipped: list[int] = []
-    if lo == 0 and hi == p - 1:
-        cbound = (P.degree + 1) * math.sqrt(p)
-        for j in range(1, chi.d):
-            order = chi.d // math.gcd(j, chi.d)
-            if order < 2 or mult_gcd % order == 0:
-                skipped.append(j)
-                continue
-            mj = tally.magnitude(twist=j)
-            twists.append(TwistCheck(j, order, mj, cbound, mj <= cbound + 1e-9))
-    return WeilReport(
-        tally=tally,
-        magnitude=mag,
-        bound=bound,
-        passed=mag <= bound + 1e-9,
-        complete_twists=tuple(twists),
-        skipped_twists=tuple(skipped),
-    )
+    cbound = (P.degree + 1) * math.sqrt(p)
+    reports = []
+    for lo, hi in intervals:
+        tally = incomplete_sum(P, chi, lo, hi)
+        mag = tally.magnitude()
+        twists: list[TwistCheck] = []
+        skipped: list[int] = []
+        if lo == 0 and hi == p - 1:
+            for j in range(1, chi.d):
+                order = chi.d // math.gcd(j, chi.d)
+                if order < 2 or mult_gcd % order == 0:
+                    skipped.append(j)
+                    continue
+                mj = tally.magnitude(twist=j)
+                twists.append(TwistCheck(j, order, mj, cbound, mj <= cbound + 1e-9))
+        reports.append(
+            WeilReport(
+                tally=tally,
+                magnitude=mag,
+                bound=bound,
+                passed=mag <= bound + 1e-9,
+                complete_twists=tuple(twists),
+                skipped_twists=tuple(skipped),
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------- censuses

@@ -274,11 +274,18 @@ class _TileBuffers:
 def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None) -> np.ndarray:
     """Fiber sizes for x in [lo, hi] inclusive (empty when hi < lo), in the
     character's index dtype: int8 for d < 128, else int32.  P(x) is
-    evaluated in buffers when given; the result is always a fresh array."""
+    evaluated in buffers when given; the result is always a fresh array.
+
+    For p <= 2**24 the sizes are one lookup of P(x) in the character's
+    fiber-size table (built by the first call); above that they come from
+    the character indices of P(x) by the power map."""
     if buffers is None:
         values = C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64))
     else:
         values = buffers.values(C.P, lo, hi)
+    table = C.chi.fiber_sizes
+    if table is not None:
+        return table.take(values)
     idx = char_indices(C.chi, values)
     # index 0 (a nonzero d-th power) has d points, -1 (P(x) = 0) one, others none
     sizes = np.zeros(C.chi.d + 1, dtype=idx.dtype)
@@ -286,18 +293,44 @@ def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None)
     return sizes.take(idx)
 
 
+def _fiber_values(C: Curve):
+    """The scan value function of C's fiber sizes.  It reads C's
+    fiber-size table here, so that the table is built before a scan
+    starts its workers, which then only read it."""
+    C.chi.fiber_sizes
+    return lambda lo, hi, buffers: fiber_array(C, lo, hi, buffers)
+
+
 def _counts_from_values(values: np.ndarray, I: int, out: np.ndarray):
-    """Window sums into out by the sliding update N(s+1) = N(s) - v[s] + v[s+I].
+    """Window sums N(s) = values[s] + ... + values[s + I - 1] into out.
 
     values[j] holds the summand at x = x_start + 1 + j, for
-    j in [0, len(out) - 1 + I).
+    j in [0, len(out) - 1 + I).  A window no wider than the tile
+    (I <= len(out)) is summed by doubling: sums of widths 1, 2, 4, ...
+    are built in place by vectorized adds in out's dtype, and each set
+    bit of I adds its width's sums, shifted past the lower bits', into
+    out.  A wider window takes the sliding update
+    N(s+1) = N(s) - v[s] + v[s+I], whose cumsum runs serially.
+    Both are exact whenever out's dtype holds max(values) * I.
     """
     n = len(out)
-    out[0] = int(values[:I].sum())
-    if n > 1:
+    if I > n:
+        out[0] = int(values[:I].sum())
         np.subtract(values[I : I + n - 1], values[: n - 1], out=out[1:], dtype=out.dtype)
         np.cumsum(out[1:], out=out[1:], dtype=out.dtype)
         out[1:] += out[0]
+        return
+    out[...] = 0
+    sums = values.astype(out.dtype)  # sums[j] = v[j] + ... + v[j + width - 1]
+    width, shift, size = 1, 0, len(sums)
+    while width <= I:
+        if I & width:
+            np.add(out, sums[shift : shift + n], out=out, dtype=out.dtype)
+            shift += width
+        if 2 * width <= I:
+            size -= width
+            np.add(sums[:size], sums[width : width + size], out=sums[:size], dtype=out.dtype)
+        width *= 2
 
 
 def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
@@ -380,11 +413,11 @@ def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
 def window_counts(C: Curve, spec: ScanSpec, threads: int = 1) -> np.ndarray:
     """N(x0, I) for x0 in [x_start, x_start + scan_len)."""
     spec.validate(C.p)
-    return _chunked_scan(lambda lo, hi, buf: fiber_array(C, lo, hi, buf), spec, threads)
+    return _chunked_scan(_fiber_values(C), spec, threads)
 
 
 def window_counts_direct(C: Curve, spec: ScanSpec) -> np.ndarray:
-    """Independent per-window summation; oracle for the sliding scan."""
+    """Independent per-window summation; oracle for the doubling and sliding sums."""
     spec.validate(C.p)
     I = spec.window_len
     fib = fiber_array(C, spec.x_start + 1, spec.x_start + spec.scan_len - 1 + I)
@@ -406,9 +439,7 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
     if m**k > _JOINT_CELL_LIMIT:
         raise ValueError("joint cell space m^k is too large")
     spec.validate(Cs[0].p)
-    return _tally_scan(
-        [lambda lo, hi, buf, C=C: fiber_array(C, lo, hi, buf) for C in Cs], spec, m, threads
-    )
+    return _tally_scan([_fiber_values(C) for C in Cs], spec, m, threads)
 
 
 # ---------------------------------------------------------------- restricted rectangles
@@ -688,7 +719,7 @@ def experiment_thm1(
 
     def count() -> Histogram:
         spec.validate(p)
-        return _tally_scan([lambda lo, hi, buf: fiber_array(C, lo, hi, buf)], spec, m, threads)
+        return _tally_scan([_fiber_values(C)], spec, m, threads)
 
     return _experiment(
         "thm1", spec, trials, seed, blocks, checks,

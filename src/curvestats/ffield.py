@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "char_index",
     "char_indices",
     "char_index_table",
+    "fiber_size_table",
     "legendre",
     "unity_root",
 ]
@@ -36,8 +37,10 @@ __all__ = [
 # Largest modulus for which (p-1)^2 still fits in a signed 64-bit product.
 _INT64_MOD_LIMIT = 3_037_000_499
 
-# Largest modulus with an index table. A table takes p bytes (int8, d < 128)
-# or 4p bytes (int32), so at most 16 MB or 64 MB per character.
+# Largest modulus with per-character tables: the index table and the
+# fiber-size table. Each takes p bytes (int8, d < 128) or 4p bytes (int32),
+# so at most 16 MB or 64 MB apiece, and a character builds either only
+# when it is first read.
 _TABLE_LIMIT = 1 << 24
 
 # Sufficient deterministic Miller-Rabin witness set for all n < 3.3 * 10^24,
@@ -212,8 +215,10 @@ class Character:
     match_table[k] = g^(k * (p-1)/d); the character maps g^n to index n mod d.
     The induced value at x is located by matching x^((p-1)/d) against
     match_table (index_of maps each entry back to k), and is zero when p
-    divides x.  For p <= 2**24 character() also stores the character's
-    char_index_table in table.
+    divides x.  For p <= 2**24 the character also carries two lookup
+    tables over [0, p), each built on first read and read-only after:
+    table (char_index_table) and fiber_sizes (fiber_size_table); for
+    larger p both are None.
     """
 
     field: FieldSpec
@@ -222,20 +227,37 @@ class Character:
     exponent: int
     match_table: tuple[int, ...]
     index_of: dict[int, int] = field(compare=False, repr=False)
-    table: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray | None:
+        """char_index_table(self), built on first read; None for p > 2**24."""
+        return _frozen(char_index_table(self)) if self.field.p <= _TABLE_LIMIT else None
+
+    @functools.cached_property
+    def fiber_sizes(self) -> np.ndarray | None:
+        """fiber_size_table(self), built on first read; None for p > 2**24."""
+        return _frozen(fiber_size_table(self)) if self.field.p <= _TABLE_LIMIT else None
 
 
-# Each cached Character holds an index table of up to 64 MB (see
-# _TABLE_LIMIT), so the cache itself holds at most 256 MB. A CLI command
-# uses one character; verify's criterion 5 cycles through three, and
-# other criteria through many small ones that are cheap to rebuild.
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+# Each cached Character holds its tables, up to 64 MB apiece (see
+# _TABLE_LIMIT), so the cache bounds them with no cache of its own. A
+# CLI command uses one character; verify's criterion 5 cycles through
+# three, and other criteria through many small ones that are cheap to
+# rebuild.
 @functools.lru_cache(maxsize=4)
 def character(fs: FieldSpec, ell: int) -> Character:
     """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
 
-    One Character per (field, ell) is shared by all callers, so its index
-    table, built here for p <= 2**24, serves every curve and call on that
-    field and is only read afterwards.
+    One Character per (field, ell) is shared by all callers, so each of
+    its tables, built on the first read for p <= 2**24, serves every
+    curve and call on that field and is only read afterwards.  A caller
+    that reads a table from several threads reads it once before they
+    start.
     """
     if ell < 2:
         raise ValueError("character order parameter must be at least 2")
@@ -245,14 +267,9 @@ def character(fs: FieldSpec, ell: int) -> Character:
     index_of = {v: k for k, v in enumerate(roots)}
     if len(index_of) != d:
         raise ArithmeticError("match table entries collide; field spec is invalid")
-    chi = Character(
+    return Character(
         field=fs, ell=ell, d=d, exponent=exponent, match_table=roots, index_of=index_of
     )
-    if fs.p <= _TABLE_LIMIT:
-        table = char_index_table(chi)
-        table.flags.writeable = False
-        chi = replace(chi, table=table)
-    return chi
 
 
 def char_index(chi: Character, x: int) -> int | None:
@@ -274,13 +291,13 @@ def _index_dtype(d: int) -> type:
 def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     """Vectorized char_index; zero values are encoded as -1.
 
-    Integer input is read from the character's table when it has one
-    (p <= 2**24); otherwise the indices come from the power map. Both
-    paths return the table's dtype.
+    Integer input is read from the character's index table when it has
+    one (p <= 2**24), which the first such call builds; otherwise the
+    indices come from the power map. Both paths return the table's dtype.
     """
     p = chi.field.p
     xs = np.asarray(xs)
-    if chi.table is None or xs.dtype.kind not in "iu":
+    if xs.dtype.kind not in "iu" or chi.table is None:
         return _char_indices_pow(chi, xs)
     if xs.dtype.itemsize < 8:
         # numpy >= 2 will not take a p above the dtype's range as a scalar
@@ -315,6 +332,19 @@ def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
     return out.astype(dtype)
 
 
+def _powers(base: int, n: int, p: int) -> np.ndarray:
+    """base^0, ..., base^(n-1) mod p as int64, by doubling:
+    pows[k:2k] = pows[:k] * base^k."""
+    pows = np.ones(n, dtype=np.int64)
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.multiply(pows[:m], pow(base, k, p), out=pows[k : k + m])
+        np.mod(pows[k : k + m], p, out=pows[k : k + m])
+        k += m
+    return pows
+
+
 def char_index_table(chi: Character) -> np.ndarray:
     """Full lookup table of char indices for x in [0, p), -1 at x = 0.
 
@@ -333,14 +363,7 @@ def char_index_table(chi: Character) -> np.ndarray:
     block = min(16384, p - 1)
     if d <= block:
         block -= block % d  # then index (start + j) mod d is j mod d in every block
-    # g^0 .. g^(block-1) by doubling: pows[k:2k] = pows[:k] * g^k
-    pows = np.ones(block, dtype=np.int64)
-    k = 1
-    while k < block:
-        n = min(k, block - k)
-        np.multiply(pows[:n], pow(g, k, p), out=pows[k : k + n])
-        np.mod(pows[k : k + n], p, out=pows[k : k + n])
-        k += n
+    pows = _powers(g, block, p)
     offsets = np.arange(block, dtype=np.int64)
     residues = (offsets % d).astype(table.dtype)
     if block % d == 0:
@@ -359,6 +382,37 @@ def char_index_table(chi: Character) -> np.ndarray:
         floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
         table[vals[:cnt]] = residues[:cnt]
         scale = scale * g_block % p
+    return table
+
+
+def fiber_size_table(chi: Character) -> np.ndarray:
+    """#{y in F_p : y^ell = x} for x in [0, p): d at the nonzero d-th
+    powers, 1 at x = 0 and 0 elsewhere, in the index table's dtype.
+
+    The nonzero d-th powers are the (p-1)/d powers of g^d, walked in
+    blocks like the generator in char_index_table; refused for
+    p > 2**24 to bound memory.
+    """
+    p = chi.field.p
+    if p > _TABLE_LIMIT:
+        raise ValueError("fiber-size table only supported for p <= 2**24")
+    d = chi.d
+    h = pow(chi.field.g, d, p)
+    n = (p - 1) // d
+    table = np.zeros(p, dtype=_index_dtype(d))
+    table[0] = 1
+    block = min(16384, n)
+    pows = _powers(h, block, p)
+    h_block = pow(h, block, p)
+    vals = np.empty(block, dtype=np.int64)
+    q = np.empty_like(vals)
+    scale = 1
+    for start in range(0, n, block):
+        cnt = min(block, n - start)
+        np.multiply(pows[:cnt], scale, out=vals[:cnt])
+        floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
+        table[vals[:cnt]] = d
+        scale = scale * h_block % p
     return table
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvestats import acceptance
+from curvestats import acceptance, charsum, cli
 from curvestats.curvewin import ScanSpec, curve, residue_histogram, window_counts
 from curvestats.ffield import FieldSpec
 from curvestats.polyff import poly
@@ -40,6 +40,30 @@ def test_criterion_04_walk_enumerations():
 
 def test_criterion_05_cancellation_bounds():
     _run(5)
+
+
+def test_criterion_05_decomposes_each_polynomial_once(monkeypatch, capsys):
+    # one squarefree decomposition per polynomial drawn serves both the
+    # subinterval and the full-field check
+    drawn, decomposed = [], []
+    draw = acceptance._random_poly
+    decompose = charsum.squarefree_decomposition
+
+    def counted_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def counted_decompose(P):
+        decomposed.append(P)
+        return decompose(P)
+
+    monkeypatch.setattr(acceptance, "_random_poly", counted_draw)
+    monkeypatch.setattr(charsum, "squarefree_decomposition", counted_decompose)
+    assert cli.run(["verify", "--only", "5"]) == 0
+    assert "criterion  5 [PASS]" in capsys.readouterr().err
+    assert len(drawn) >= 100
+    assert len(decomposed) == len(set(drawn))
+    assert set(decomposed) == set(drawn)
 
 
 def test_criterion_06_census_bounds():

@@ -7,6 +7,7 @@ this module once and checked exactly thereafter.
 """
 
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -153,38 +154,56 @@ def test_window_counts_thread_invariance():
         assert np.array_equal(base, window_counts(C, spec, threads=threads))
 
 
-def test_threads_build_one_table(monkeypatch):
-    # character() builds the table before window_counts starts a worker, so
-    # threaded scans only read it: one build per character, none in the scan
+def _count_table_builds(monkeypatch) -> list:
+    """Record (kind, p, thread id) for each character table built."""
     builds = []
-    build = ffield.char_index_table
+    for kind, name in (("fibers", "fiber_size_table"), ("index", "char_index_table")):
+        build = getattr(ffield, name)
 
-    def counted(chi):
-        builds.append(chi.field.p)
-        return build(chi)
+        def counted(chi, kind=kind, build=build):
+            builds.append((kind, chi.field.p, threading.get_ident()))
+            return build(chi)
 
+        monkeypatch.setattr(ffield, name, counted)
+    return builds
+
+
+def test_threads_build_one_table(monkeypatch):
+    # a scan reads its fiber-size table before it starts a worker, so the
+    # table is built once, on the calling thread, and the workers only read
+    # it; the scan never builds an index table
     fs = _field(100003)
     spec = ScanSpec(0, fs.p - 100, 50)
-    base = window_counts(curve(fs, 2, poly([1, 1, 0, 1], fs.p)), spec)
-    monkeypatch.setattr(ffield, "char_index_table", counted)
+    Ps = [poly([1, 1, 0, 1], fs.p), poly([2, 0, 1], fs.p)]
+    base = window_counts(curve(fs, 2, Ps[0]), spec)
+    base_joint = joint_histogram([curve(fs, 2, P) for P in Ps], spec, 3)
+    builds = _count_table_builds(monkeypatch)
+    here = threading.get_ident()
     for threads in (2, 8):
-        ffield.character.cache_clear()
-        builds.clear()
-        C = curve(fs, 2, poly([1, 1, 0, 1], fs.p))
-        assert builds == [fs.p]
-        assert np.array_equal(window_counts(C, spec, threads=threads), base)
-        assert builds == [fs.p]
+        for scan, want in [
+            (lambda Cs: window_counts(Cs[0], spec, threads=threads), base),
+            (lambda Cs: joint_histogram(Cs, spec, 3, threads=threads), base_joint),
+        ]:
+            ffield.character.cache_clear()
+            builds.clear()
+            Cs = [curve(fs, 2, P) for P in Ps]
+            assert builds == []
+            got = scan(Cs)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+            assert builds == [("fibers", fs.p, here)]
 
 
-def test_degenerate_scans_on_the_table_path():
-    # m = 1, I = 0, scan_len = 1 and p = 3, with the character's table in use
+def test_degenerate_scans_on_the_table_path(monkeypatch):
+    # m = 1, I = 0, scan_len = 1 and p = 3, with the character's fiber-size
+    # table in use: the scans never reach the character indices
+    monkeypatch.setattr(curvewin, "char_indices", lambda *a: pytest.fail("power map used"))
     rng = np.random.default_rng(3030)
     for _ in range(60):
         p = int(rng.choice([3, 5, 7, 13, 10009]))
         fs = _field(p)
         C = curve(fs, int(rng.choice([2, 3, 4])), _random_poly(rng, p, 3))
         fib = fiber_array(C, 0, p - 1)
-        assert C.chi.table is not None
+        assert C.chi.fiber_sizes is not None
         if p < 100:
             assert fib.tolist() == [fiber_count(C, x) for x in range(p)]
         I = 0 if rng.random() < 0.5 else int(rng.integers(0, p))
@@ -196,6 +215,114 @@ def test_degenerate_scans_on_the_table_path():
             assert np.array_equal(window_counts(C, spec, threads=threads), direct)
         assert residue_histogram(direct, 1).counts == (scan_len,)
         assert joint_histogram([C], spec, 1).counts == (scan_len,)
+
+
+@pytest.mark.parametrize("p, ell", [
+    (3, 2), (13, 4), (101, 2),  # d = 2, 4 and 2
+    (31, 3), (10009, 3),  # d = 3
+    (11, 3), (40009, 5),  # d = 1: every x is an ell-th power, once
+    (40009, 4), (40009, 2),  # (p - 1) / d above one walk block
+    (257, 256), (40009, 40008),  # d >= 128: int32 sizes
+])
+def test_fiber_size_table_matches_oracles(p, ell):
+    fs = _field(p)
+    ffield.character.cache_clear()
+    chi = ffield.character(fs, ell)
+    table = ffield.fiber_size_table(chi)
+    assert table.dtype == (np.int8 if chi.d < 128 else np.int32)
+    assert table.shape == (p,)
+    # criterion 1's oracle: the number of y with y^ell = x, for every x
+    roots = np.bincount(ffield.pow_mod_vec(np.arange(p, dtype=np.int64), ell, p), minlength=p)
+    assert np.array_equal(table, roots)
+    C = curve(fs, ell, x_poly(p))
+    xs = range(p) if p < 300 else np.random.default_rng(p).integers(0, p, 300).tolist()
+    for x in [0, 1, p - 1, *xs]:
+        assert table[x] == fiber_count(C, x)
+    assert "fiber_sizes" not in vars(chi)
+    assert not chi.fiber_sizes.flags.writeable
+    assert np.array_equal(chi.fiber_sizes, table)
+    assert np.array_equal(fiber_array(C, 0, p - 1), table)
+
+
+def test_scan_past_the_table_limit_uses_the_power_map(monkeypatch):
+    # above 2^24 the character has no tables; fiber sizes come from the
+    # power map, and the scans agree with pointwise and direct oracles
+    p = 16777259
+    calls = []
+    pow_path = ffield._char_indices_pow
+
+    def counted(chi, xs):
+        calls.append(len(xs))
+        return pow_path(chi, xs)
+
+    monkeypatch.setattr(ffield, "_char_indices_pow", counted)
+    for name in ("fiber_size_table", "char_index_table"):
+        monkeypatch.setattr(ffield, name, lambda chi: pytest.fail("table built"))
+    C = curve(_field(p), 2, poly([1, 1, 0, 1], p))
+    x0 = p // 3
+    fib = fiber_array(C, x0, x0 + 399)
+    assert C.chi.fiber_sizes is None and calls == [400]
+    assert fib.tolist() == [fiber_count(C, x) for x in range(x0, x0 + 400)]
+    spec = ScanSpec(x0, 300, 50)
+    direct = window_counts_direct(C, spec)
+    assert np.array_equal(direct, [fib[s + 1 : s + 51].sum() for s in range(300)])
+    for threads in (1, 2):
+        assert np.array_equal(window_counts(C, spec, threads=threads), direct)
+        assert joint_histogram([C], spec, 3, threads=threads) == residue_histogram(direct, 3)
+
+
+# window lengths at and around powers of two and the tile width (64 here):
+# up to the width the sums double, past it they slide
+_TILE = 64
+_WINDOWS = [1, 2, 3, 7, 8, 9, 31, 32, 33, _TILE - 1, _TILE, _TILE + 1]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_window_sums_double_and_slide(dtype):
+    # _counts_from_values against prefix sums, at widths that fit the dtype
+    rng = np.random.default_rng(7070)
+    top = {np.int8: 1, np.int16: 100, np.int32: 30000, np.int64: 1 << 40}[dtype]
+    for n in (1, 2, 5, _TILE):
+        for I in [0, *_WINDOWS, 2 * _TILE + 3]:
+            if top * I > np.iinfo(dtype).max:
+                continue
+            values = rng.integers(0, top + 1, size=n - 1 + I)
+            prefix = np.concatenate([[0], np.cumsum(values)])
+            out = np.full(n, -1, dtype=dtype)
+            curvewin._counts_from_values(values.astype(dtype), I, out)
+            assert np.array_equal(out, prefix[I : I + n] - prefix[:n]), (n, I)
+
+
+def test_window_sums_at_the_full_tile():
+    # I = tile width doubles (sixteen levels), one wider slides
+    rng = np.random.default_rng(8080)
+    n = curvewin._SCAN_CHUNK
+    for I, dtype in [(n, np.int32), (n + 1, np.int32), (n - 1, np.int64), (n, np.int64)]:
+        values = rng.integers(0, 3, size=n - 1 + I).astype(np.int8)
+        prefix = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+        out = np.empty(n, dtype=dtype)
+        curvewin._counts_from_values(values, I, out)
+        assert np.array_equal(out, prefix[I : I + n] - prefix[:n])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_counts_and_tallies_at_each_window(threads, monkeypatch):
+    # int64 counts and int8/int16 tallies (d = 2 and 4) against direct
+    # per-window sums, in full tiles of _TILE windows
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", _TILE)
+    p = 1009
+    fs = _field(p)
+    for ell in (2, 4):
+        Cs = [curve(fs, ell, poly(c, p)) for c in ([1, 1, 0, 1], [2, 0, 1])]
+        for I in _WINDOWS:
+            spec = ScanSpec(5, 5 * _TILE, I)
+            direct = [window_counts_direct(C, spec) for C in Cs]
+            assert np.array_equal(window_counts(Cs[0], spec, threads=threads), direct[0])
+            for m in (1, 3, 4):
+                assert joint_histogram(Cs[:1], spec, m, threads=threads) == residue_histogram(direct[0], m)
+                joint = joint_histogram(Cs, spec, m, threads=threads)
+                codes = direct[0] % m + m * (direct[1] % m)
+                assert joint.counts == residue_histogram(codes, m * m).counts
 
 
 def test_wraparound_rejected_by_name():

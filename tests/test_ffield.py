@@ -278,9 +278,11 @@ def test_char_indices_agrees_with_table_and_scalar():
     (40009, 40008),  # d > 16384: blocks are no multiple of d, every column is written
 ])
 def test_char_index_table_matches_oracles(p, ell):
-    # the walk leaves the coset g^j, j = d - 1 mod d, at the fill value
+    # the walk leaves the coset g^j, j = d - 1 mod d, at the fill value;
+    # character() builds no table, and the first read of chi.table does
     character.cache_clear()
     chi = character(FieldSpec.from_prime(p), ell)
+    assert "table" not in vars(chi) and "fiber_sizes" not in vars(chi)
     table = char_index_table(chi)
     want = ffield._char_indices_pow(chi, np.arange(p, dtype=np.int64))
     assert table.dtype == want.dtype == (np.int8 if chi.d < 128 else np.int32)
@@ -288,6 +290,7 @@ def test_char_index_table_matches_oracles(p, ell):
     assert np.array_equal(table, want)
     assert not chi.table.flags.writeable
     assert np.array_equal(chi.table, table)
+    assert "fiber_sizes" not in vars(chi)
     g, d = chi.field.g, chi.d
     probes = {0, 1, p - 1}
     probes |= {pow(g, j, p) for j in range(min(d, 20))}
@@ -297,17 +300,30 @@ def test_char_index_table_matches_oracles(p, ell):
         assert table[x] == (-1 if j is None else j)
 
 
-def test_char_indices_table_path_matches_power_map():
+def test_char_indices_table_path_matches_power_map(monkeypatch):
+    # the first char_indices call builds exactly one index table, and every
+    # later call, on any input, reads it
+    builds = []
+    build = ffield.char_index_table
+
+    def counted(chi):
+        builds.append(chi.field.p)
+        return build(chi)
+
+    monkeypatch.setattr(ffield, "char_index_table", counted)
     rng = np.random.default_rng(4040)
     for p in (3, 13, 10009, 1000003):
         fs = FieldSpec.from_prime(p)
         for ell in (2, 3, 4, 5):
             character.cache_clear()
+            builds.clear()
             chi = character(fs, ell)
+            assert builds == []
             n = 4096
             xs = rng.integers(-3 * p, 3 * p, size=n)
             xs[: n // 8] = rng.integers(-3, 4, size=n // 8) * p  # zeros mod p
             got = char_indices(chi, xs)
+            assert builds == [p]
             assert chi.table is not None
             assert character(fs, ell) is chi
             want = ffield._char_indices_pow(chi, xs)
@@ -322,12 +338,13 @@ def test_char_indices_table_path_matches_power_map():
             for xs in edges:
                 want = [-1 if (j := char_index(chi, int(x))) is None else j for x in xs]
                 assert char_indices(chi, xs).tolist() == want
+            assert builds == [p]
 
 
 @pytest.mark.parametrize("p,dtype", [(16777259, np.int64), (10009, object)])
 def test_char_indices_without_table(p, dtype, monkeypatch):
-    # any call above 2^24 and object input use the power map; above 2^24
-    # the character has no table at all
+    # any call above 2^24 and object input use the power map and build no
+    # table; above 2^24 the character has no tables at all
     calls = []
     pow_path = ffield._char_indices_pow
 
@@ -335,18 +352,21 @@ def test_char_indices_without_table(p, dtype, monkeypatch):
         calls.append(len(xs))
         return pow_path(chi, xs)
 
-    if p > 1 << 24:
-        monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("table built"))
+    for name in ("char_index_table", "fiber_size_table"):
+        monkeypatch.setattr(ffield, name, lambda chi: pytest.fail("table built"))
     monkeypatch.setattr(ffield, "_char_indices_pow", counted)
     character.cache_clear()
     chi = character(FieldSpec.from_prime(p), 2)
-    assert (chi.table is None) == (p > 1 << 24)
     n = 1000
     xs = np.arange(p - n, p, dtype=np.int64).astype(dtype)
     got = char_indices(chi, xs)
     assert calls == [n]
     for i in np.linspace(0, n - 1, 10).astype(np.int64):
         assert got[i] == char_index(chi, int(xs[i]))
+    if p > 1 << 24:
+        assert chi.table is None and chi.fiber_sizes is None
+    else:
+        assert "table" not in vars(chi)
 
 
 @pytest.mark.parametrize("p", [3, 10007, 10000019, 3037000493, ffield._INT64_MOD_LIMIT])
@@ -373,8 +393,9 @@ def test_char_index_table_rejects_large_p():
     while not is_prime(p):
         p += 2
     chi = character(FieldSpec.from_prime(p), 2)
-    with pytest.raises(ValueError):
-        char_index_table(chi)
+    for build in (char_index_table, ffield.fiber_size_table):
+        with pytest.raises(ValueError):
+            build(chi)
 
 
 def test_unity_root_values():
