@@ -121,7 +121,7 @@ def criterion_1(threads: int = 1) -> tuple[bool, str]:
 
 @_criterion(2, "sliding-window identity")
 def criterion_2(threads: int = 1) -> tuple[bool, str]:
-    """Sliding-update window counts equal independent summation."""
+    """Scanned window counts equal independent summation."""
     rng = np.random.default_rng(20202)
     primes = [101, 1009, 4999, 10007, 99991]
     for i in range(100):

@@ -301,36 +301,41 @@ def _fiber_values(C: Curve):
     return lambda lo, hi, buffers: fiber_array(C, lo, hi, buffers)
 
 
-def _counts_from_values(values: np.ndarray, I: int, out: np.ndarray):
-    """Window sums N(s) = values[s] + ... + values[s + I - 1] into out.
+def _window_sums(values: np.ndarray, I: int, n: int) -> tuple[np.ndarray, int]:
+    """The n window sums N(s) = values[s] + ... + values[s + I - 1], and
+    their bound max(values) * I.
 
     values[j] holds the summand at x = x_start + 1 + j, for
-    j in [0, len(out) - 1 + I).  A window no wider than the tile
-    (I <= len(out)) is summed by doubling: sums of widths 1, 2, 4, ...
-    are built in place by vectorized adds in out's dtype, and each set
-    bit of I adds its width's sums, shifted past the lower bits', into
-    out.  A wider window takes the sliding update
-    N(s+1) = N(s) - v[s] + v[s+I], whose cumsum runs serially.
-    Both are exact whenever out's dtype holds max(values) * I.
+    j in [0, n - 1 + I).  Values are nonnegative, so the sums lie in
+    [0, bound]; they are returned in the narrowest signed dtype that
+    holds it, and every add below is exact in that dtype.
+
+    Every window contains the core values[w:I] for any w in [n - 1, I];
+    w is I itself when I < n, and otherwise the power of two at or above
+    n - 1 when I reaches it, so that it has one set bit.  The core is
+    summed once; the rest of window s is the width-w window at s over
+    the n - 1 + w values outside the core.  Those are summed by doubling:
+    sums of widths 1, 2, 4, ... are built in place by vectorized adds,
+    and each set bit of w adds its width's sums, shifted past the lower
+    bits', into the result.  So a tile costs at most about 2 log2(w)
+    passes over n - 1 + w < 3n values, however wide the window is.
     """
-    n = len(out)
-    if I > n:
-        out[0] = int(values[:I].sum())
-        np.subtract(values[I : I + n - 1], values[: n - 1], out=out[1:], dtype=out.dtype)
-        np.cumsum(out[1:], out=out[1:], dtype=out.dtype)
-        out[1:] += out[0]
-        return
-    out[...] = 0
-    sums = values.astype(out.dtype)  # sums[j] = v[j] + ... + v[j + width - 1]
+    bound = int(values.max(initial=0)) * I
+    dtype = np.min_scalar_type(-bound - 1)
+    w = I if I < n else min(I, 1 << (n - 2).bit_length())
+    out = np.full(n, values[w:I].sum(), dtype=dtype)
+    sums = np.empty(n - 1 + w, dtype=dtype)  # sums[j] = v[j] + ... + v[j + width - 1]
+    sums[:w], sums[w:] = values[:w], values[I:]
     width, shift, size = 1, 0, len(sums)
-    while width <= I:
-        if I & width:
-            np.add(out, sums[shift : shift + n], out=out, dtype=out.dtype)
+    while width <= w:
+        if w & width:
+            np.add(out, sums[shift : shift + n], out=out, dtype=dtype)
             shift += width
-        if 2 * width <= I:
+        if 2 * width <= w:
             size -= width
-            np.add(sums[:size], sums[width : width + size], out=sums[:size], dtype=out.dtype)
+            np.add(sums[:size], sums[width : width + size], out=sums[:size], dtype=dtype)
         width *= 2
+    return out, bound
 
 
 def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
@@ -361,12 +366,12 @@ def _scan_tiles(tile, spec: ScanSpec, threads: int) -> list:
 
 
 def _chunked_scan(values_for, spec: ScanSpec, threads: int) -> np.ndarray:
-    """Run a window scan in _scan_tiles; each tile recomputes its first
-    window and slides thereafter, so the result is tile-count independent."""
+    """Run a window scan in _scan_tiles; each tile sums its windows from
+    its own values, so the result is tile-count independent."""
     out = np.empty(spec.scan_len, dtype=np.int64)
 
     def tile(s0: int, s1: int, lo: int, hi: int, buffers: _TileBuffers):
-        _counts_from_values(values_for(lo, hi, buffers), spec.window_len, out[s0:s1])
+        out[s0:s1] = _window_sums(values_for(lo, hi, buffers), spec.window_len, s1 - s0)[0]
 
     _scan_tiles(tile, spec, threads)
     return out
@@ -378,8 +383,6 @@ def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
 
     Each tile of _scan_tiles is reduced to its m^k tallies, which are
     summed in index order, so no full-length count array is ever held.
-    Values are nonnegative, so a tile's sums lie in [0, max value * I]
-    and are held in the narrowest signed dtype that bound fits.
     """
     I = spec.window_len
     k = len(values_fors)
@@ -388,10 +391,7 @@ def _tally_scan(values_fors, spec: ScanSpec, m: int, threads: int) -> Histogram:
         code = None
         # Horner over the value functions, last first
         for values_for in reversed(values_fors):
-            values = values_for(lo, hi, buffers)
-            bound = int(values.max(initial=0)) * I
-            counts = np.empty(s1 - s0, dtype=np.min_scalar_type(-bound - 1))
-            _counts_from_values(values, I, counts)
+            counts, bound = _window_sums(values_for(lo, hi, buffers), I, s1 - s0)
             if k == 1 and bound < _FOLD_LIMIT:
                 # tally the sums themselves, then fold the bins mod m
                 bins = np.bincount(counts, minlength=-(-(bound + 1) // m) * m)
@@ -417,7 +417,7 @@ def window_counts(C: Curve, spec: ScanSpec, threads: int = 1) -> np.ndarray:
 
 
 def window_counts_direct(C: Curve, spec: ScanSpec) -> np.ndarray:
-    """Independent per-window summation; oracle for the doubling and sliding sums."""
+    """Independent per-window summation; oracle for _window_sums."""
     spec.validate(C.p)
     I = spec.window_len
     fib = fiber_array(C, spec.x_start + 1, spec.x_start + spec.scan_len - 1 + I)

@@ -244,11 +244,13 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-# Each cached Character holds its tables, up to 64 MB apiece (see
-# _TABLE_LIMIT), so the cache bounds them with no cache of its own. A
-# CLI command uses one character; verify's criterion 5 cycles through
-# three, and other criteria through many small ones that are cheap to
-# rebuild.
+# Each cached Character holds its tables, so the cache bounds them with
+# no cache of its own: up to 64 MB apiece (see _TABLE_LIMIT), 128 MB for
+# a character both scanned and indexed, and 512 MB for the four entries
+# in the worst case (d >= 128, p near 2**24; one such character raised
+# peak RSS by 128.5 MB).  A CLI command uses one character; verify's
+# criterion 5 cycles through three, and other criteria through many
+# small ones that are cheap to rebuild.
 @functools.lru_cache(maxsize=4)
 def character(fs: FieldSpec, ell: int) -> Character:
     """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
@@ -332,56 +334,61 @@ def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
     return out.astype(dtype)
 
 
-def _powers(base: int, n: int, p: int) -> np.ndarray:
-    """base^0, ..., base^(n-1) mod p as int64, by doubling:
-    pows[k:2k] = pows[:k] * base^k."""
-    pows = np.ones(n, dtype=np.int64)
+def _power_blocks(base: int, n: int, p: int, offsets: np.ndarray, block: int):
+    """Yield (start, base^(start + offsets) mod p) for start = 0, block,
+    2 block, ... below n, keeping the exponents below n.
+
+    offsets are sorted int64 exponents in [0, block).  Each block's powers
+    are the first block's times base^start, reduced into one int64 buffer
+    that the next block overwrites.  The first block is built by doubling:
+    pows[k:2k] = pows[:k] * base^k.
+    """
+    pows = np.ones(block, dtype=np.int64)
     k = 1
-    while k < n:
-        m = min(k, n - k)
+    while k < block:
+        m = min(k, block - k)
         np.multiply(pows[:m], pow(base, k, p), out=pows[k : k + m])
         np.mod(pows[k : k + m], p, out=pows[k : k + m])
         k += m
-    return pows
+    pows = pows[offsets]
+    vals = np.empty_like(pows)
+    q = np.empty_like(pows)
+    step = pow(base, block, p)
+    scale = 1
+    for start in range(0, n, block):
+        cnt = int(np.searchsorted(offsets, n - start))
+        np.multiply(pows[:cnt], scale, out=vals[:cnt])
+        floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
+        yield start, vals[:cnt]
+        scale = scale * step % p
 
 
 def char_index_table(chi: Character) -> np.ndarray:
     """Full lookup table of char indices for x in [0, p), -1 at x = 0.
 
-    Built by walking powers of the generator, O(p) total work; refused for
-    p > 2**24 to bound memory.  The table starts filled with d - 1, so the
-    walk skips the coset g^j, j = d - 1 mod d, whenever blocks are a
-    multiple of d.
+    Built by walking the powers of the generator in blocks
+    (_power_blocks), O(p) total work; refused for p > 2**24 to bound
+    memory.  The table starts filled with d - 1, so the walk skips the
+    coset g^j, j = d - 1 mod d, whenever blocks are a multiple of d.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
         raise ValueError("index table only supported for p <= 2**24")
-    g = chi.field.g
     d = chi.d
     table = np.full(p, d - 1, dtype=_index_dtype(d))
     table[0] = -1
     block = min(16384, p - 1)
     if d <= block:
         block -= block % d  # then index (start + j) mod d is j mod d in every block
-    pows = _powers(g, block, p)
     offsets = np.arange(block, dtype=np.int64)
     residues = (offsets % d).astype(table.dtype)
     if block % d == 0:
         keep = residues != d - 1
-        pows, offsets, residues = pows[keep], offsets[keep], residues[keep]
-    g_block = pow(g, block, p)
-    vals = np.empty(offsets.size, dtype=np.int64)
-    q = np.empty_like(vals)
-    scale = 1
-    for start in range(0, p - 1, block):
-        # the kept columns of this block; only the last can be short
-        cnt = int(np.searchsorted(offsets, p - 1 - start))
+        offsets, residues = offsets[keep], residues[keep]
+    for start, vals in _power_blocks(chi.field.g, p - 1, p, offsets, block):
         if block % d:
             residues = ((start + offsets) % d).astype(table.dtype)
-        np.multiply(pows[:cnt], scale, out=vals[:cnt])
-        floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
-        table[vals[:cnt]] = residues[:cnt]
-        scale = scale * g_block % p
+        table[vals] = residues[: vals.size]
     return table
 
 
@@ -390,29 +397,20 @@ def fiber_size_table(chi: Character) -> np.ndarray:
     powers, 1 at x = 0 and 0 elsewhere, in the index table's dtype.
 
     The nonzero d-th powers are the (p-1)/d powers of g^d, walked in
-    blocks like the generator in char_index_table; refused for
-    p > 2**24 to bound memory.
+    blocks (_power_blocks) like the generator in char_index_table;
+    refused for p > 2**24 to bound memory.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
         raise ValueError("fiber-size table only supported for p <= 2**24")
     d = chi.d
-    h = pow(chi.field.g, d, p)
     n = (p - 1) // d
     table = np.zeros(p, dtype=_index_dtype(d))
     table[0] = 1
     block = min(16384, n)
-    pows = _powers(h, block, p)
-    h_block = pow(h, block, p)
-    vals = np.empty(block, dtype=np.int64)
-    q = np.empty_like(vals)
-    scale = 1
-    for start in range(0, n, block):
-        cnt = min(block, n - start)
-        np.multiply(pows[:cnt], scale, out=vals[:cnt])
-        floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
-        table[vals[:cnt]] = d
-        scale = scale * h_block % p
+    offsets = np.arange(block, dtype=np.int64)
+    for _, vals in _power_blocks(pow(chi.field.g, d, p), n, p, offsets, block):
+        table[vals] = d
     return table
 
 

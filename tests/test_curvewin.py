@@ -271,43 +271,59 @@ def test_scan_past_the_table_limit_uses_the_power_map(monkeypatch):
         assert joint_histogram([C], spec, 3, threads=threads) == residue_histogram(direct, 3)
 
 
-# window lengths at and around powers of two and the tile width (64 here):
-# up to the width the sums double, past it they slide
+# window lengths at and around powers of two and the tile width (64 here),
+# and past it: from I = n on, the windows of an n-window tile share a core
+# of values, summed once, and the rest has a width w in [n - 1, I] (n - 1
+# at n = 2 and 5; a power of two above it at n = 1 and 64)
 _TILE = 64
-_WINDOWS = [1, 2, 3, 7, 8, 9, 31, 32, 33, _TILE - 1, _TILE, _TILE + 1]
+_WINDOWS = [1, 2, 3, 7, 8, 9, 31, 32, 33, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 5 * _TILE]
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
-def test_window_sums_double_and_slide(dtype):
-    # _counts_from_values against prefix sums, at widths that fit the dtype
+def _narrowest(bound: int) -> np.dtype:
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= bound)
+
+
+def _check_window_sums(values: np.ndarray, I: int, n: int) -> np.dtype:
+    prefix = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+    sums, bound = curvewin._window_sums(values, I, n)
+    assert bound == int(values.max(initial=0)) * I
+    assert sums.dtype == _narrowest(bound) and sums.shape == (n,)
+    assert np.array_equal(sums, prefix[I : I + n] - prefix[:n]), (n, I)
+    return sums.dtype
+
+
+@pytest.mark.parametrize("top, dtype, want", [
+    (1, np.int8, {np.int8, np.int16}),  # fiber sizes at d = 1
+    (100, np.int8, {np.int8, np.int16}),
+    (30000, np.int32, {np.int8, np.int16, np.int32}),  # int32 fiber sizes
+    (1 << 40, np.int64, {np.int8, np.int64}),
+])
+def test_window_sums_match_prefix_sums(top, dtype, want):
+    # _window_sums against prefix sums, in the narrowest dtype of each bound,
+    # with windows narrower than, as wide as and wider than the tile
     rng = np.random.default_rng(7070)
-    top = {np.int8: 1, np.int16: 100, np.int32: 30000, np.int64: 1 << 40}[dtype]
+    seen = set()
     for n in (1, 2, 5, _TILE):
-        for I in [0, *_WINDOWS, 2 * _TILE + 3]:
-            if top * I > np.iinfo(dtype).max:
-                continue
-            values = rng.integers(0, top + 1, size=n - 1 + I)
-            prefix = np.concatenate([[0], np.cumsum(values)])
-            out = np.full(n, -1, dtype=dtype)
-            curvewin._counts_from_values(values.astype(dtype), I, out)
-            assert np.array_equal(out, prefix[I : I + n] - prefix[:n]), (n, I)
+        for I in [0, *_WINDOWS]:
+            values = rng.integers(0, top + 1, size=n - 1 + I).astype(dtype)
+            seen.add(_check_window_sums(values, I, n).type)
+    assert seen == want
 
 
 def test_window_sums_at_the_full_tile():
-    # I = tile width doubles (sixteen levels), one wider slides
+    # widths n - 1 (sixteen set bits) and n (one), then n + 1 and 3n: a
+    # core of 1 and 2n values and width n; in int32 and int64
     rng = np.random.default_rng(8080)
     n = curvewin._SCAN_CHUNK
-    for I, dtype in [(n, np.int32), (n + 1, np.int32), (n - 1, np.int64), (n, np.int64)]:
-        values = rng.integers(0, 3, size=n - 1 + I).astype(np.int8)
-        prefix = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
-        out = np.empty(n, dtype=dtype)
-        curvewin._counts_from_values(values, I, out)
-        assert np.array_equal(out, prefix[I : I + n] - prefix[:n])
+    for I, top in [(n - 1, 2), (n, 2), (n + 1, 2), (3 * n, 2), (n - 1, 1 << 40), (3 * n, 1 << 40)]:
+        values = rng.integers(0, top + 1, size=n - 1 + I)
+        assert _check_window_sums(values, I, n) == (np.int32 if top == 2 else np.int64)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_window_counts_and_tallies_at_each_window(threads, monkeypatch):
-    # int64 counts and int8/int16 tallies (d = 2 and 4) against direct
+    # counts and tallies (d = 2 and 4: int8 and int16 sums) against direct
     # per-window sums, in full tiles of _TILE windows
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", _TILE)
     p = 1009
