@@ -76,14 +76,15 @@ _JOINT_CELL_LIMIT = 1 << 20
 
 # longest window-scan tile, in windows.  Each scan worker evaluates its
 # tiles in one set of int64 buffers (_TileBuffers), so at 2^16 a tile's
-# x, accumulator and quotients (512 KB apiece) stay in a 2 MB L2 across
-# the passes over them.  The buffers are reused because 512 KB is above
-# glibc's mmap threshold: fresh temporaries of that size are mapped and
-# page-faulted in again on every tile (35k minor faults per 10^7-window
-# scan at 2^16 without reuse, against 10k at 2^20 and 2k with reuse, and
-# no faster than 2^20).  Sweep of that scan (p = 10000019, one thread,
-# reused buffers; median job time of 8 runs on a 2-vCPU Xeon VM):
-# 2^14 0.384 s, 2^15 0.373 s, 2^16 0.346 s, 2^17 0.353 s, 2^18 0.384 s.
+# offsets, accumulator and quotients (512 KB apiece) stay in a 2 MB L2
+# across the passes over them.  The buffers are reused because 512 KB is
+# above glibc's mmap threshold: fresh temporaries of that size are mapped
+# and page-faulted in again on every tile (35k minor faults per
+# 10^7-window scan at 2^16 without reuse, against 10k at 2^20 and 2k with
+# reuse, and no faster than 2^20).  Sweep of that scan (p = 10000019,
+# one thread, reused buffers; median job time of 8 runs on a 2-vCPU Xeon
+# VM): 2^14 0.384 s, 2^15 0.373 s, 2^16 0.346 s, 2^17 0.353 s, 2^18
+# 0.384 s.
 _SCAN_CHUNK = 1 << 16
 
 # largest window-sum bound for which a one-sum chunk is tallied by value
@@ -254,21 +255,22 @@ def fiber_count(C: Curve, x: int) -> int:
 
 class _TileBuffers:
     """int64 work arrays for polynomial values over tiles of at most
-    width = iota.size consecutive x: the x values, the Horner accumulator
-    and the quotients of its reductions.  A scan worker allocates one and
-    reuses it for each of its tiles, and it is dropped when the scan
-    returns.  iota = 0, 1, ..., width - 1 is read only and may be shared."""
+    width = iota.size consecutive x: the Horner accumulator and the
+    quotients of its reductions.  A scan worker allocates one and reuses
+    it for each of its tiles, and it is dropped when the scan returns.
+    iota = 0, 1, ..., width - 1 is read only and may be shared."""
 
     def __init__(self, iota: np.ndarray):
         self.iota = iota
-        self.x, self.acc, self.q = np.empty((3, iota.size), dtype=np.int64)
+        self.acc, self.q = np.empty((2, iota.size), dtype=np.int64)
 
     def values(self, P: Poly, lo: int, hi: int) -> np.ndarray:
         """P(x) for x in [lo, hi] (hi - lo < width): a view of acc, which
-        the next call overwrites."""
+        the next call overwrites.  They are evaluated as Q(t) = P(lo + t)
+        at t = 0, ..., hi - lo, so Horner's accumulator grows by factors
+        below the width rather than below p."""
         n = max(0, hi - lo + 1)
-        xs = np.add(self.iota[:n], lo, out=self.x[:n])
-        return P.eval_vec(xs, out=self.acc[:n], q=self.q[:n])
+        return P.compose_linear(1, lo).eval_vec(self.iota[:n], out=self.acc[:n], q=self.q[:n])
 
 
 def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None) -> np.ndarray:

@@ -82,11 +82,12 @@ class Poly:
 
         int64 input already in [0, p) is read as is.  The accumulator is
         reduced only when a bound on its entries says the next acc*x + c
-        could reach 2^63, and once at the end.  On the int64 path, out
-        (the accumulator and result) and q (the quotients of the
-        reductions) are int64 arrays of xs's shape that a caller may reuse
-        across calls; each is allocated when not given.  xs is never
-        written.
+        could reach 2^63, and once at the end; the bound grows by the
+        largest x, so input far below p (as from compose_linear) needs
+        fewer reductions.  On the int64 path, out (the accumulator and
+        result) and q (the quotients of the reductions) are int64 arrays
+        of xs's shape that a caller may reuse across calls; each is
+        allocated when not given.  xs is never written.
         """
         xs = np.asarray(xs)
         p = self.p
@@ -97,10 +98,12 @@ class Poly:
             # numpy >= 2 will not take a p above the dtype's range as a scalar
             xs = xs.astype(np.int64)
         # negative int64 entries read as uint64 values above p
-        if xs.dtype == np.int64 and (xs.size == 0 or int(xs.view(np.uint64).max()) < p):
+        top = int(xs.view(np.uint64).max(initial=0)) if xs.dtype == np.int64 else p
+        if top < p:
             x = xs
         else:
             x = np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False)
+            top = p - 1
         acc = np.empty_like(x) if out is None else out
         if len(self.coeffs) < 2:
             acc[...] = self.coeffs[0] if self.coeffs else 0
@@ -111,14 +114,13 @@ class Poly:
         else:
             np.multiply(x, lead, out=acc)
             acc += c
-        top = p - 1
         bound = lead * top + c
         for c in rest:
             if bound * top + c >= 1 << 63:
                 if q is None:
                     q = np.empty_like(acc)
                 floor_mod(acc, p, out=acc, q=q)
-                bound = top
+                bound = p - 1
             np.multiply(acc, x, out=acc)
             if c:
                 acc += c
@@ -126,6 +128,23 @@ class Poly:
         if bound >= p:
             floor_mod(acc, p, out=acc, q=q)
         return acc
+
+    def compose_linear(self, a: int, b: int) -> "Poly":
+        """P(a*x + b): a Taylor shift to P(x + b), then coefficient i
+        scaled by a^i."""
+        p = self.p
+        cs = list(self.coeffs)
+        b %= p
+        if b:
+            # repeated synthetic division by x - b, in place
+            for i in range(len(cs) - 1):
+                for j in range(len(cs) - 2, i - 1, -1):
+                    cs[j] = (cs[j] + b * cs[j + 1]) % p
+        scale = 1
+        for i in range(len(cs)):
+            cs[i] = cs[i] * scale % p
+            scale = scale * a % p
+        return poly(cs, p)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -343,11 +362,7 @@ def shift_combination(P: Poly, a: int, bs, es) -> Poly:
     for b, e in zip(bs, es):
         if e == 0:
             continue
-        lin = poly((b, a), p)
-        comp = poly((), p)
-        for c in reversed(P.coeffs):
-            comp = comp * lin + constant(c, p)
-        acc = acc * comp**e
+        acc = acc * P.compose_linear(a, b) ** e
     return acc
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, InfeasibleModelError
-from .parallel import run_indexed
+from .parallel import run_blocks, run_indexed
 
 __all__ = [
     "WalkConfig",
@@ -55,6 +55,10 @@ _STATE_LIMIT = 1 << 18
 
 # block-model rotation works on at most this many counts at once
 _ROTATE_ELEMENTS = 1 << 22
+
+# block-model sampling sums the visits of at most this many drawn counts
+# (trials times block types) in one float64 product
+_VISIT_BATCH = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,10 @@ class EnumResult:
     passed: bool
 
     @classmethod
-    def compare(cls, lhs: float, bound: float) -> "EnumResult":
-        return cls(lhs=lhs, bound=bound, passed=lhs <= bound * (1 + 1e-6))
+    def compare(cls, lhs: int, bound: int) -> "EnumResult":
+        """lhs <= bound decided on the exact integers; the report reads
+        both as floats."""
+        return cls(lhs=float(lhs), bound=float(bound), passed=lhs <= bound)
 
 
 def _prefix_sums(digits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -213,8 +219,7 @@ def exact_prop21a(ell: int, m: int, L: int) -> EnumResult:
     if ell ** (2 * L) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of {ell}^(2*{L}) pairs exceeds the feasibility guard")
     lhs = _pair_sum(_power_cum(ell, L), m)
-    bound = float(7 * m**4 * L * ell ** (2 * L + 2))
-    return EnumResult.compare(float(lhs), bound)
+    return EnumResult.compare(lhs, 7 * m**4 * L * ell ** (2 * L + 2))
 
 
 def exact_prop21c(m: int, L: int) -> EnumResult:
@@ -224,8 +229,7 @@ def exact_prop21c(m: int, L: int) -> EnumResult:
     if 2 ** (2 * L) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of 2^(2*{L}) pairs exceeds the feasibility guard")
     lhs = _pair_sum(_digit_matrix(2, L).cumsum(axis=1), m)
-    bound = float(2 ** (2 * L + 2) * m**4 * L)
-    return EnumResult.compare(float(lhs), bound)
+    return EnumResult.compare(lhs, 2 ** (2 * L + 2) * m**4 * L)
 
 
 def exact_prop21b(ell: int, m: int, L: int, k: int) -> EnumResult:
@@ -237,8 +241,7 @@ def exact_prop21b(ell: int, m: int, L: int, k: int) -> EnumResult:
     if ell ** (2 * L * k) > FEASIBLE_LIMIT:
         raise ValueError(f"enumeration of {ell}^(2*{L}*{k}) pair tuples exceeds the feasibility guard")
     lhs = _pair_sum(_power_cum(ell, L), m, k)
-    bound = float(7 * m ** (2 * k + 2) * L * ell ** (2 * L * k + 2))
-    return EnumResult.compare(float(lhs), bound)
+    return EnumResult.compare(lhs, 7 * m ** (2 * k + 2) * L * ell ** (2 * L * k + 2))
 
 
 # ---------------------------------------------------------------- block model
@@ -322,24 +325,71 @@ def _block_type_distribution(steps, m: int, k: int, L: int):
     return types[order], probs
 
 
+def _visit_sums(cells, probs, blocks: int, seed: int, trials: int, threads: int) -> np.ndarray:
+    """(trials, m^k) float64 visit histograms from the float64 (m^k, T)
+    transposed type matrix: row t is trial t's draw of block-type counts,
+    multinomial(blocks, probs) from trial_rng(seed, t), times the types.
+
+    Each worker draws its block of trials in batches of at most
+    _VISIT_BATCH // T trials and sums a batch's visits in one float64
+    product of cells and the transposed batch.  Every sum and partial sum
+    is an integer at most blocks * L < 2^53 (_model_core refuses larger),
+    so the product is exact in any summation order.
+    """
+    T = cells.shape[1]
+    batch = max(1, _VISIT_BATCH // T)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        out = np.empty((hi - lo, cells.shape[0]))
+        draws = np.empty((min(batch, hi - lo), T))
+        for s in range(lo, hi, batch):
+            e = min(s + batch, hi)
+            for t in range(s, e):
+                draws[t - s] = _trial_gen(seed, t).multinomial(blocks, probs)
+            out[s - lo : e - lo] = (cells @ draws[: e - s].T).T
+        return out
+
+    return np.array(run_blocks(block, trials, threads))
+
+
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(ordered, q) with its default 'linear' method, bit for
+    bit, on values already sorted.  It is replicated rather than called
+    because np.quantile imports numpy.ma (through np.unique) on first use.
+    numpy puts the index at (n - 1) q, reads the last value at or past
+    n - 1 (index -1, with the weight measured from -1), and interpolates
+    from whichever end is nearer."""
+    n = len(ordered)
+    at = (n - 1) * q
+    lo = -1 if at >= n - 1 else math.floor(at)
+    t = at - lo
+    a, b = float(ordered[lo]), float(ordered[lo + 1 if lo >= 0 else -1])
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary:
     if blocks < 1 or trials < 1 or L < 1 or m < 1:
         raise ValueError("blocks, trials, L, m must all be positive")
+    if blocks * L >= 1 << 53:
+        raise InfeasibleModelError("blocks * L reaches 2^53, past exact float64 visit sums")
     types, probs = _block_type_distribution(steps, m, k, L)
     probs = probs / probs.sum()
     denom = float(blocks * L)
     target = 1.0 / m**k
 
-    def visits(t: int) -> np.ndarray:
-        return _trial_gen(seed, t).multinomial(blocks, probs) @ types
-
-    # (trials, m^k) integer visit histograms; the float tail runs once on
-    # the stack, and each row sum equals that of the row on its own
-    V = np.array(run_indexed(visits, trials, threads))
+    # the int64 types are dropped once copied, so that sampling holds one
+    # type matrix, as it did when it summed in int64
+    cells = types.T.astype(np.float64)
+    del types
+    # the float tail runs once on the stack, and each row sum equals that
+    # of the row on its own
+    V = _visit_sums(cells, probs, blocks, seed, trials, threads)
     discs = ((V / denom - target) ** 2).sum(axis=1)
-    q50, q95, q99 = np.quantile(discs, [0.5, 0.95, 0.99])
+    ordered = np.sort(discs)
+    q50, q95, q99 = (_quantile(ordered, q) for q in (0.5, 0.95, 0.99))
     return ModelSummary(
-        q50=float(q50), q95=float(q95), q99=float(q99),
+        q50=q50, q95=q95, q99=q99,
         discrepancies=discs, blocks=blocks, trials=trials,
     )
 

@@ -202,6 +202,18 @@ def test_state_space_guard_is_a_named_nonfatal_skip(capsys):
     assert check["detail"] == "block model state space exceeds the feasibility guard"
 
 
+def test_float_sum_guard_is_a_named_nonfatal_skip(capsys):
+    # at L = 10, 2^53 / 10 blocks would sum visits past exact float64
+    code, payload, _ = run_json(capsys, [*PHI_ARGS, "--blocks", str(2**53 // 10 + 1)])
+    assert code == 0
+    report = payload["report"]
+    assert report["results"]["model"] is None
+    check = report["hypotheses"][-1]
+    assert check["name"] == "model_feasible"
+    assert check["passed"] is False and check["fatal"] is False
+    assert check["detail"] == "blocks * L reaches 2^53, past exact float64 visit sums"
+
+
 def test_joint_model_feasible_at_block_11(capsys):
     code, payload, _ = run_json(capsys, _joint_args(11))
     assert code == 0

@@ -96,7 +96,7 @@ def test_fiber_array_agrees_pointwise():
     buffers = curvewin._TileBuffers(np.arange(40, dtype=np.int64))
     tiled = fiber_array(C, 0, 30, buffers)
     assert np.array_equal(tiled, arr)
-    assert not any(np.shares_memory(tiled, b) for b in (buffers.x, buffers.acc, buffers.q))
+    assert not any(np.shares_memory(tiled, b) for b in (buffers.acc, buffers.q))
     assert np.array_equal(fiber_array(C, 3, 7, buffers), arr[3:8]) and np.array_equal(tiled, arr)
 
 
@@ -663,6 +663,22 @@ def test_two_thread_tiles_unequal_and_short(monkeypatch):
         )
     assert runs[1] == runs[2]
     assert np.array_equal(counts, window_counts_direct(Cs[0], spec))
+
+
+@pytest.mark.parametrize("p", [10000019, 2**31 - 1, 3037000493])
+def test_shifted_tiles_match_direct_scan_near_the_top(monkeypatch, p):
+    # tiles evaluate P(lo + t) at small t; the unshifted per-window oracle
+    # evaluates P at x itself, here up to p - 1 and with full-size
+    # coefficients, over tiles of 64 windows
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 64)
+    fs = _field(p)
+    for cs in ([1, 1, 0, 1], [p - 1, p - 2, 3, p - 1, p - 1]):
+        C = curve(fs, 2, poly(cs, p))
+        spec = ScanSpec(p - 300 - 40, 300, 40)
+        direct = window_counts_direct(C, spec)
+        assert direct.any()
+        for threads in (1, 2):
+            assert np.array_equal(window_counts(C, spec, threads=threads), direct)
 
 
 def _tally_oracle(counts, m) -> dict:

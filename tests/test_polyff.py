@@ -135,6 +135,79 @@ def test_eval_vec_into_caller_buffers():
                     assert np.array_equal(arr, before)
 
 
+def test_eval_vec_bounded_by_largest_x():
+    import numpy as np
+
+    # the accumulator bound grows by the largest x of the input, not by
+    # p - 1; each largest x is hit exactly, and one above p - 1 (at p = 3)
+    # goes through the reduction of the input
+    rng = random.Random(14)
+    for p in (3, 10007, 10000019, 2**31 - 1, 3037000493):
+        for top in (0, 1, 2**16 + 99, p - 1):
+            xs = np.array([top, 0, top // 2] + [rng.randrange(top + 1) for _ in range(13)], dtype=np.int64)
+            ints = xs.tolist()
+            for deg in range(9):
+                low = [rng.randrange(p) for _ in range(deg)]
+                for lead in {1, p - 1, 1 + rng.randrange(p - 1)}:
+                    for cs in (low + [lead], [p - 1] * deg + [lead]):
+                        P = poly(cs, p)
+                        vec = P.eval_vec(xs)
+                        assert vec.dtype == np.int64
+                        assert vec.tolist() == [P(x) for x in ints]
+
+
+def test_eval_vec_reduces_once_on_small_offsets(monkeypatch):
+    import numpy as np
+
+    from curvestats import polyff
+
+    # a scan tile at p near 10^7: x^3 + x + 1 shifted to its first x is
+    # evaluated at offsets below 2^16 + 49, so Horner needs only the final
+    # reduction; over x up to p - 1 it needs one more on the way
+    calls = []
+    real = polyff.floor_mod
+    monkeypatch.setattr(polyff, "floor_mod", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    p = 10000019
+    P = poly([1, 1, 0, 1], p)
+    lo = p - (1 << 16) - 50
+    t = np.arange((1 << 16) + 49, dtype=np.int64)
+    want = P.eval_vec(t + lo)
+    assert len(calls) == 2
+    calls.clear()
+    assert np.array_equal(P.compose_linear(1, lo).eval_vec(t), want)
+    assert len(calls) == 1
+
+
+def test_compose_linear_matches_direct_evaluation():
+    rng = random.Random(16)
+    for p in (3, 7, 101, 10007, 10000019, 3037000493, 4294967311):
+        for _ in range(6):
+            P = random_poly(rng, p, 8, nonzero=False)
+            for a, b in ((1, 0), (1, rng.randrange(p)), (0, rng.randrange(p)), (p - 1, -1),
+                         (rng.randrange(p), rng.randrange(p)), (-3, 2 * p + 5)):
+                Q = P.compose_linear(a, b)
+                assert Q.p == p and Q.degree <= P.degree
+                if a % p:
+                    assert Q.degree == P.degree
+                xs = range(p) if p < 200 else [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)]
+                assert [Q(x) for x in xs] == [P((a * x + b) % p) for x in xs]
+
+
+def test_shift_combination_composes_linearly():
+    # the product of the compositions, against values at a*x + b
+    rng = random.Random(17)
+    p = 101
+    for _ in range(20):
+        P = random_poly(rng, p, 4)
+        a = 1 + rng.randrange(p - 1)
+        bs = rng.sample(range(p), rng.randrange(1, 4))
+        es = [rng.randrange(3) for _ in bs]
+        es[0] += 1
+        Q = shift_combination(P, a, bs, es)
+        for x in range(p):
+            assert Q(x) == math.prod(P((a * x + b) % p) ** e for b, e in zip(bs, es)) % p
+
+
 def test_arithmetic_roundtrip():
     rng = random.Random(11)
     for _ in range(50):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from curvestats import rwalk
-from curvestats.errors import HypothesisError
+from curvestats.errors import HypothesisError, InfeasibleModelError
 from curvestats.rwalk import (
+    EnumResult,
     WalkConfig,
     _block_type_distribution,
     _digit_matrix,
@@ -406,6 +407,18 @@ def test_prop21b_m1_and_guard():
         exact_prop21b(2, 3, 6, 2)  # 2^24 combined pairs
 
 
+def test_enum_result_decides_on_exact_integers():
+    # at 2^60 the floats of bound and bound + 1 are equal, so only the
+    # integers separate lhs = bound (passes) from lhs = bound + 1 (fails)
+    for bound in (0, 7, 2**60, 7 * 3**4 * 10 * 2**22):
+        at = EnumResult.compare(bound, bound)
+        above = EnumResult.compare(bound + 1, bound)
+        assert at.passed and not above.passed
+        assert at == EnumResult(float(bound), float(bound), True)
+        assert type(above.lhs) is float and type(above.bound) is float
+    assert float(2**60 + 1) == float(2**60)
+
+
 # ---------------------------------------------------------------- block model
 
 
@@ -588,3 +601,92 @@ def test_model_validation():
         model_reference(1, 3, 5, blocks=10, trials=10, seed=0)
     with pytest.raises(ValueError):
         model_reference(2, 3, 5, blocks=0, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("ell,m,k,L", [(2, 3, 1, 5), (2, 3, 2, 3)])
+def test_visit_sums_match_per_trial_products(ell, m, k, L, monkeypatch):
+    # float64 batch products against each trial's int64 multinomial @ types,
+    # for the 21 types of criterion 9's shape and a k = 2 model; batches of
+    # 1, of 4 with a short last one, and the default, at 1, 2 and 3 threads
+    blocks, trials, seed = 777, 11, 41
+    types, probs = _block_type_distribution(_steps(ell, Fraction(1, ell), m, k), m, k, L)
+    probs = probs / probs.sum()
+    assert k == 2 or len(types) == 21
+    want = np.array([trial_rng(seed, t).multinomial(blocks, probs) @ types for t in range(trials)])
+    assert want.dtype == np.int64
+    for batch in (1, 4 * len(types), rwalk._VISIT_BATCH):
+        monkeypatch.setattr(rwalk, "_VISIT_BATCH", batch)
+        for threads in (1, 2, 3):
+            got = rwalk._visit_sums(types.T.astype(np.float64), probs, blocks, seed, trials, threads)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
+def test_visit_sums_exact_below_2_53():
+    # one block type holds every visit at the largest blocks the guard
+    # admits, so each sum is blocks * L itself, just under 2^53
+    L = 5
+    blocks = ((1 << 53) - 1) // L
+    cells = np.array([[L, 0], [0, L], [0, 0]], dtype=np.float64)
+    got = rwalk._visit_sums(cells, np.array([1.0, 0.0]), blocks, 0, 3, 1)
+    assert got[:, 0].tolist() == [blocks * L] * 3 and not got[:, 1:].any()
+    assert blocks * L == 2**53 - 2
+
+
+def test_model_refuses_visit_sums_past_2_53(monkeypatch):
+    # the guard fires before the DP, whose spy would record a call
+    calls = []
+    dp = rwalk._block_type_distribution
+    monkeypatch.setattr(rwalk, "_block_type_distribution", lambda *a: calls.append(a) or dp(*a))
+    for L, blocks in ((5, -(-(2**53) // 5)), (8, 2**50)):
+        with pytest.raises(InfeasibleModelError, match="2\\^53"):
+            model_reference(2, 3, L, blocks=blocks, trials=2, seed=0)
+    assert not calls
+    ms = model_reference(2, 3, 5, blocks=2**53 // 5, trials=2, seed=0)
+    assert len(calls) == 1 and ms.q99 >= ms.q50 >= 0
+
+
+def test_quantile_replica_is_bitwise_numpy():
+    # ties, constant samples and spread values, for every sample size the
+    # model could see up to 300 and the quantiles at both ends
+    rng = np.random.default_rng(50)
+    qs = [0, 0.5, 0.95, 0.99, 1]
+    for n in range(1, 301):
+        samples = [
+            rng.exponential(1e-4, size=n),
+            rng.integers(0, 4, size=n) / 7.0,
+            np.full(n, 0.1),
+            rng.choice([0.0, 1e-300, 3.5, 2.0**-40], size=n),
+        ]
+        for values in samples:
+            want = np.quantile(values, qs)
+            ordered = np.sort(values)
+            got = [rwalk._quantile(ordered, q) for q in qs]
+            assert [float(w).hex() for w in want] == [g.hex() for g in got]
+
+
+def test_model_imports_no_numpy_ma():
+    # np.quantile imports numpy.ma through np.unique on first use; the
+    # model's replica must not.  numpy 1.24 imports numpy.ma with numpy
+    # itself, and there this checks nothing
+    import os
+    import subprocess
+    from pathlib import Path
+
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from curvestats import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['phi', '--p', '10007', '--ell', '2', '--m', '3', '--poly', '1,1,0,1',\n"
+        "                    '--window', '50', '--block', '5', '--trials', '50', '--seed', '0'])\n"
+        "print(code, before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    assert out[0] == "0"
+    assert out[2] == out[1] or out[1] == "True"
