@@ -134,12 +134,10 @@ class Poly:
         scaled by a^i."""
         p = self.p
         cs = list(self.coeffs)
-        b %= p
-        if b:
-            # repeated synthetic division by x - b, in place
-            for i in range(len(cs) - 1):
-                for j in range(len(cs) - 2, i - 1, -1):
-                    cs[j] = (cs[j] + b * cs[j + 1]) % p
+        # repeated synthetic division by x - b, in place
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] = (cs[j] + b * cs[j + 1]) % p
         scale = 1
         for i in range(len(cs)):
             cs[i] = cs[i] * scale % p

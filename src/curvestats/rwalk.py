@@ -378,8 +378,7 @@ def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary
     denom = float(blocks * L)
     target = 1.0 / m**k
 
-    # the int64 types are dropped once copied, so that sampling holds one
-    # type matrix, as it did when it summed in int64
+    # sampling holds one type matrix, the float64 copy, not two
     cells = types.T.astype(np.float64)
     del types
     # the float tail runs once on the stack, and each row sum equals that
