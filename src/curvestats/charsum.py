@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError
-from .curvewin import Curve, Rect, _star_fibers
+from .curvewin import Curve, Rect, _enforce, _rect_delta, _star_check, _tiles
 from .ffield import Character, char_indices
 from .polyff import Poly, admissible, multiplicatively_independent, squarefree_decomposition
 
@@ -39,9 +39,6 @@ __all__ = [
     "joint_census",
     "shifted_census",
 ]
-
-_CHUNK = 1 << 19
-
 
 @dataclass(frozen=True)
 class CharSumTally:
@@ -90,14 +87,10 @@ def incomplete_sum(P: Poly, chi: Character, lo: int, hi: int) -> CharSumTally:
         raise ValueError("interval must lie inside [0, p-1]")
     counts = np.zeros(chi.d, dtype=np.int64)
     zeros = 0
-    x = lo
-    while x <= hi:
-        stop = min(hi, x + _CHUNK - 1)
-        xs = np.arange(x, stop + 1, dtype=np.int64)
-        idx = char_indices(chi, P.eval_vec(xs))
+    for s, n, buffers in _tiles(hi - lo + 1):
+        idx = char_indices(chi, buffers.values(P, lo + s, n))
         zeros += int((idx < 0).sum())
         counts += np.bincount(idx[idx >= 0], minlength=chi.d)
-        x = stop + 1
     return CharSumTally(chi.d, tuple(int(c) for c in counts), zeros)
 
 
@@ -234,24 +227,17 @@ def _census_regime(p: int, r: int, max_deg: int, theorem_mode: bool):
 
 def _match_counts(chi: Character, polys, stride: int, offs, N: int, target_rows) -> int:
     """#{i in [0, N] : char index of P_l(i*stride + h_j) = v_{l,j} for all l, j}."""
-    p = chi.field.p
     count = 0
-    i = 0
-    while i <= N:
-        stop = min(N, i + _CHUNK - 1)
-        base = np.arange(i, stop + 1, dtype=np.int64) * stride
-        match = np.ones(stop - i + 1, dtype=bool)
+    for s, n, buffers in _tiles(N + 1):
+        match = np.ones(n, dtype=bool)
         for P, row in zip(polys, target_rows):
             for h, v in zip(offs, row):
-                xs = (base + h) % p
-                idx = char_indices(chi, P.eval_vec(xs))
-                match &= idx == v
+                match &= char_indices(chi, buffers.values(P, s * stride + h, n, stride)) == v
                 if not match.any():
                     break
             if not match.any():
                 break
         count += int(match.sum())
-        i = stop + 1
     return count
 
 
@@ -352,17 +338,16 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
     if stride < 1:
         raise ValueError("stride must be positive")
     offs = _probe_offsets(offsets, p)
-    fibers = _star_fibers(C, rect)
+    delta, witness = _rect_delta(C, rect)
+    _enforce([_star_check(witness)])
     start = ((rect.x_lo + stride - 1) // stride) * stride
     xs = np.arange(start, rect.x_hi + 1, stride, dtype=np.int64)
     prod = np.ones(xs.size, dtype=bool)
     miss = np.zeros(xs.size, dtype=bool)
     for h in offs:
         pos = (xs + h) % p
-        inside = (pos >= rect.x_lo) & (pos <= rect.x_hi)
-        miss |= ~inside
-        safe = np.clip(pos - rect.x_lo, 0, fibers.size - 1)
-        prod &= inside & (fibers[safe] >= 1)
+        miss |= (pos < rect.x_lo) | (pos > rect.x_hi)
+        prod &= delta[pos] == 1
     prediction = Fraction(rect.x_size, stride) * Fraction(rect.y_size, p) ** len(offs)
     return ShiftedCensusResult(
         count=int(prod.sum()),

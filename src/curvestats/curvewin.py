@@ -74,10 +74,12 @@ __all__ = [
 
 _JOINT_CELL_LIMIT = 1 << 20
 
-# longest window-scan tile, in windows.  Each scan worker evaluates its
-# tiles in one set of int64 buffers (_TileBuffers), so at 2^16 a tile's
-# offsets, accumulator and quotients (512 KB apiece) stay in a 2 MB L2
-# across the passes over them.  The buffers are reused because 512 KB is
+# longest tile of points evaluated at once: a window scan's tiles (in
+# windows), and through _tiles those of character sums, censuses and
+# rectangle memberships.  Each scan worker evaluates its tiles in one set
+# of int64 buffers (_TileBuffers), so at 2^16 a tile's offsets,
+# accumulator and quotients (512 KB apiece) stay in a 2 MB L2 across the
+# passes over them.  The buffers are reused because 512 KB is
 # above glibc's mmap threshold: fresh temporaries of that size are mapped
 # and page-faulted in again on every tile (35k minor faults per
 # 10^7-window scan at 2^16 without reuse, against 10k at 2^20 and 2k with
@@ -255,22 +257,29 @@ def fiber_count(C: Curve, x: int) -> int:
 
 class _TileBuffers:
     """int64 work arrays for polynomial values over tiles of at most
-    width = iota.size consecutive x: the Horner accumulator and the
-    quotients of its reductions.  A scan worker allocates one and reuses
-    it for each of its tiles, and it is dropped when the scan returns.
+    width = iota.size points: the Horner accumulator and the quotients of
+    its reductions.  A scan worker, or a _tiles walk, allocates one and
+    reuses it for each of its tiles, and drops it when it returns.
     iota = 0, 1, ..., width - 1 is read only and may be shared."""
 
     def __init__(self, iota: np.ndarray):
         self.iota = iota
         self.acc, self.q = np.empty((2, iota.size), dtype=np.int64)
 
-    def values(self, P: Poly, lo: int, hi: int) -> np.ndarray:
-        """P(x) for x in [lo, hi] (hi - lo < width): a view of acc, which
-        the next call overwrites.  They are evaluated as Q(t) = P(lo + t)
-        at t = 0, ..., hi - lo, so Horner's accumulator grows by factors
+    def values(self, P: Poly, lo: int, n: int, step: int = 1) -> np.ndarray:
+        """P(lo + step * t) for t = 0, ..., n - 1 (n <= width): a view of
+        acc, which the next call overwrites.  They are evaluated as
+        Q(t) = P(step * t + lo), so Horner's accumulator grows by factors
         below the width rather than below p."""
-        n = max(0, hi - lo + 1)
-        return P.compose_linear(1, lo).eval_vec(self.iota[:n], out=self.acc[:n], q=self.q[:n])
+        return P.compose_linear(step, lo).eval_vec(self.iota[:n], out=self.acc[:n], q=self.q[:n])
+
+
+def _tiles(n: int):
+    """Yield (s, size, buffers) for tiles [s, s + size) of at most
+    _SCAN_CHUNK points covering [0, n), all sharing one _TileBuffers."""
+    buffers = _TileBuffers(np.arange(min(n, _SCAN_CHUNK), dtype=np.int64))
+    for s in range(0, n, _SCAN_CHUNK):
+        yield s, min(_SCAN_CHUNK, n - s), buffers
 
 
 def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None) -> np.ndarray:
@@ -284,7 +293,7 @@ def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None)
     if buffers is None:
         values = C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64))
     else:
-        values = buffers.values(C.P, lo, hi)
+        values = buffers.values(C.P, lo, max(0, hi - lo + 1))
     table = C.chi.fiber_sizes
     if table is not None:
         return table.take(values)
@@ -447,42 +456,40 @@ def joint_histogram(Cs, spec: ScanSpec, m: int, threads: int = 1) -> Histogram:
 # ---------------------------------------------------------------- restricted rectangles
 
 
-def _rect_fibers(C: Curve, rect: Rect) -> np.ndarray:
-    """#{y in [y_lo, y_hi] : y^ell = P(x)} for x in [x_lo, x_hi], capped at
-    2 (int8): callers only ask whether it is at least 1 or at least 2."""
+def _rect_delta(C: Curve, rect: Rect) -> tuple[np.ndarray, int | None]:
+    """The rectangle's membership delta over x in [0, p) (read-only int8:
+    1 where some y in [y_lo, y_hi] has (x, y) on the curve, 0 elsewhere
+    and outside [x_lo, x_hi]), and the smallest x with two or more such y
+    (None when the at-most-one-y condition holds), from one tile pass."""
     p = C.p
     if p > (1 << 27):
         raise ValueError("restricted scans limited to p <= 2^27 (multiset index memory)")
     ys = np.arange(rect.y_lo, rect.y_hi + 1, dtype=np.int64)
     mult = np.bincount(pow_mod_vec(ys, C.ell, p), minlength=p)
-    out = np.empty(rect.x_size, dtype=np.int8)
-    buffers = _TileBuffers(np.arange(min(_SCAN_CHUNK, rect.x_size), dtype=np.int64))
-    for s in range(0, rect.x_size, _SCAN_CHUNK):
-        e = min(s + _SCAN_CHUNK, rect.x_size)
-        vals = buffers.values(C.P, rect.x_lo + s, rect.x_lo + e - 1)
-        np.minimum(mult[vals], 2, out=out[s:e], casting="unsafe")
-    return out
+    delta = np.zeros(p, dtype=np.int8)
+    witness = None
+    for s, n, buffers in _tiles(rect.x_size):
+        lo = rect.x_lo + s
+        fibers = mult.take(buffers.values(C.P, lo, n))
+        np.minimum(fibers, 1, out=delta[lo : lo + n], casting="unsafe")
+        if witness is None:
+            bad = np.flatnonzero(fibers >= 2)
+            witness = lo + int(bad[0]) if bad.size else None
+    delta.flags.writeable = False
+    return delta, witness
 
 
-def _witness(rect: Rect, fibers: np.ndarray) -> int | None:
-    bad = np.flatnonzero(fibers >= 2)
-    return rect.x_lo + int(bad[0]) if bad.size else None
-
-
-def _star_fibers(C: Curve, rect: Rect) -> np.ndarray:
-    """_rect_fibers, after raising when the at-most-one-y condition fails."""
-    fibers = _rect_fibers(C, rect)
-    w = _witness(rect, fibers)
-    if w is not None:
-        raise HypothesisError("condition_star", f"x = {w} has more than one y in the rectangle")
-    return fibers
+def _star_check(witness: int | None) -> HypothesisCheck:
+    """The condition_star hypothesis of a rectangle with this witness."""
+    detail = "" if witness is None else f"x = {witness} has more than one y in the rectangle"
+    return HypothesisCheck("condition_star", witness is None, detail)
 
 
 def condition_star_witness(C: Curve, rect: Rect) -> int | None:
     """Smallest x in the rectangle's x-interval with two or more curve
     points (x, y), y in the y-interval; None when the condition holds."""
     rect.validate(C.p)
-    return _witness(rect, _rect_fibers(C, rect))
+    return _rect_delta(C, rect)[1]
 
 
 def condition_star(C: Curve, rect: Rect) -> bool:
@@ -494,29 +501,16 @@ def condition_star(C: Curve, rect: Rect) -> bool:
 def delta_array(C: Curve, rect: Rect) -> np.ndarray:
     """The 0/1 membership indicator over the rectangle's x-interval."""
     rect.validate(C.p)
-    return (_rect_fibers(C, rect) >= 1).astype(np.int64)
+    return _rect_delta(C, rect)[0][rect.x_lo : rect.x_hi + 1].astype(np.int64)
 
 
 def restricted_window_counts(C: Curve, rect: Rect, spec: ScanSpec, threads: int = 1) -> np.ndarray:
     """Rectangle-restricted window counts; requires the at-most-one-y condition."""
     spec.validate(C.p)
     rect.validate(C.p)
-    return _chunked_scan(_delta_values(rect, _star_fibers(C, rect)), spec, threads)
-
-
-def _delta_values(rect: Rect, fibers: np.ndarray):
-    """The scan value function of a restricted scan, over the rectangle's
-    _rect_fibers once they have passed the at-most-one-y condition."""
-
-    def delta(lo: int, hi: int, buffers: _TileBuffers) -> np.ndarray:
-        # delta(x) over [lo, hi]: 0 outside the x-interval
-        out = np.zeros(max(0, hi - lo + 1), dtype=np.int8)
-        a, b = max(lo, rect.x_lo), min(hi, rect.x_hi)
-        if a <= b:
-            out[a - lo : b - lo + 1] = fibers[a - rect.x_lo : b - rect.x_lo + 1] >= 1
-        return out
-
-    return delta
+    delta, witness = _rect_delta(C, rect)
+    _enforce([_star_check(witness)])
+    return _chunked_scan(lambda lo, hi, _: delta[lo : hi + 1], spec, threads)
 
 
 @dataclass
@@ -659,6 +653,13 @@ def _regime_check(L: int, p: int, d: int) -> HypothesisCheck:
     )
 
 
+def _enforce(checks):
+    """Raise HypothesisError for the first failed fatal check."""
+    for c in checks:
+        if c.fatal and not c.passed:
+            raise HypothesisError(c.name, c.detail)
+
+
 def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, model):
     """The pipeline every theorem experiment shares.
 
@@ -668,9 +669,7 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
     feasibility guards is skipped and recorded as a failed, non-fatal
     model_feasible hypothesis; any other error propagates.
     """
-    for c in checks:
-        if c.fatal and not c.passed:
-            raise HypothesisError(c.name, c.detail)
+    _enforce(checks)
     nblocks = blocks if blocks is not None else max(1, spec.scan_len // spec.block_len - 1)
     if trials < 1 or nblocks < 1:
         raise ValueError("model trials and blocks must be positive")
@@ -797,18 +796,13 @@ def experiment_thm3(
     p = C.p
     rect.validate(p)
     L, geom = _geometry_checks(p, spec)
-    # one fiber pass serves the condition_star hypothesis and the scan
-    fibers = _rect_fibers(C, rect)
-    witness = _witness(rect, fibers)
+    # one membership pass serves the condition_star hypothesis and the scan
+    delta, witness = _rect_delta(C, rect)
     alpha = Fraction(rect.y_size, p)
     limit = math.log(p) / (2 * math.log(math.log(p))) if p > 15 else float("inf")
     checks = [
         *_curve_checks(C),
-        HypothesisCheck(
-            "condition_star",
-            witness is None,
-            "" if witness is None else f"x = {witness} has more than one y in the rectangle",
-        ),
+        _star_check(witness),
         *geom,
         HypothesisCheck("y_interval_alpha", True, f"alpha = {float(alpha):.6f}", fatal=False),
         HypothesisCheck(
@@ -821,7 +815,7 @@ def experiment_thm3(
 
     def count() -> Histogram:
         spec.validate(p)
-        return _tally_scan([_delta_values(rect, fibers)], spec, m, threads)
+        return _tally_scan([lambda lo, hi, _: delta[lo : hi + 1]], spec, m, threads)
 
     return _experiment(
         "thm3", spec, trials, seed, blocks, checks,

@@ -1,9 +1,10 @@
 """The package's one thread fan-out.
 
-Item i always runs as fn(i) and its result lands at index i, so results
-never depend on the thread count or on which worker ran which item.
-run_blocks hands each worker its whole block of items at once, so that
-a worker can set up state, such as scan buffers, once for all of them.
+Item i's result always lands at index i, so results never depend on the
+thread count or on which worker ran which item.  run_blocks hands each
+worker its whole block of items at once, so that a worker can set up
+state, such as scan buffers, once for all of them; per-item work is a
+comprehension over its block.
 """
 
 from __future__ import annotations
@@ -23,8 +24,3 @@ def run_blocks(fn, n: int, threads: int) -> list:
         parts = ex.map(lambda w: fn(bounds[w], bounds[w + 1]), range(workers))
         return [r for part in parts for r in part]
 
-
-def run_indexed(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], split into at most `threads` contiguous
-    blocks of items, one task per worker, when threads > 1 and n > 1."""
-    return run_blocks(lambda lo, hi: [fn(i) for i in range(lo, hi)], n, threads)

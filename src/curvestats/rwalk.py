@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, InfeasibleModelError
-from .parallel import run_blocks, run_indexed
+from .parallel import run_blocks
 
 __all__ = [
     "WalkConfig",
@@ -148,7 +148,8 @@ def simulate_phi(cfg: WalkConfig, threads: int = 1) -> SimulationResult:
         z = np.cumsum(walk_steps(cfg, t)) % cfg.m
         return np.bincount(z, minlength=cfg.m) / cfg.L
 
-    phis = np.array(run_indexed(one, cfg.trials, threads), dtype=np.float64)
+    rows = run_blocks(lambda lo, hi: [one(t) for t in range(lo, hi)], cfg.trials, threads)
+    phis = np.array(rows, dtype=np.float64)
     mean = phis.mean(axis=0)
     if cfg.trials > 1:
         stderr = phis.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
@@ -211,15 +212,9 @@ def _power_cum(ell: int, L: int) -> np.ndarray:
 
 
 def exact_prop21a(ell: int, m: int, L: int) -> EnumResult:
-    """Variance sum over all pairs of length-L root sequences, power-sum steps."""
-    if ell < 2 or m < 1 or L < 1:
-        raise ValueError("need ell >= 2, m >= 1, L >= 1")
-    if math.gcd(ell, m) != 1:
-        raise HypothesisError("gcd_m_ell", f"gcd({ell}, {m}) != 1")
-    if ell ** (2 * L) > FEASIBLE_LIMIT:
-        raise ValueError(f"enumeration of {ell}^(2*{L}) pairs exceeds the feasibility guard")
-    lhs = _pair_sum(_power_cum(ell, L), m)
-    return EnumResult.compare(lhs, 7 * m**4 * L * ell ** (2 * L + 2))
+    """Variance sum over all pairs of length-L root sequences, power-sum
+    steps: the one-walk case of exact_prop21b."""
+    return exact_prop21b(ell, m, L, 1)
 
 
 def exact_prop21c(m: int, L: int) -> EnumResult:
@@ -408,10 +403,9 @@ def _steps(a: int, q, m: int, k: int):
 
 
 def model_reference(ell, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:
-    """Discrepancy distribution of N-block walks matching a curve scan."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    return _model_core(_steps(ell, Fraction(1, ell), m, 1), m, 1, L, blocks, trials, seed, threads)
+    """Discrepancy distribution of N-block walks matching a curve scan:
+    the one-walk case of model_reference_joint."""
+    return model_reference_joint(ell, m, L, 1, blocks, trials, seed, threads)
 
 
 def model_reference_joint(ell, m, L, k, blocks, trials, seed, threads: int = 1) -> ModelSummary:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvestats import curvewin
 from curvestats.charsum import (
     CharSumTally,
     TwistCheck,
@@ -373,6 +374,34 @@ def test_joint_census_matches_exhaustive_recount():
         assert res.prediction == Fraction(N, 2 ** (2 * r))
 
 
+
+def test_tiled_walks_match_scalar_oracles_at_100003():
+    # ranges longer than one tile of 2^16 points; at stride 3 the probes
+    # i * stride + h pass p - 1 and wrap, and the offsets themselves
+    # reduce mod p (-2 is p - 2)
+    p = 100003
+    chi = _chi(p, 3)
+    P = poly([1, 1, 0, 1], p)
+    assert incomplete_sum(P, chi, 7, p - 1) == _brute_tally(P, chi, 7, p - 1)
+    N = 70000
+    offs, v = [0, 50001, -2], [0, 1, 2]
+    res = census_m(P, chi, 3, offs, N, v)
+    assert res.count == _brute_census([P], chi, 3, [h % p for h in offs], N, [v]) > 0
+    polys = [P, poly([5, 0, 1], p)]
+    offs, rows = [1, p - 1], [[0, 2], [1, 0]]
+    res = joint_census(polys, chi, 3, offs, N, rows)
+    assert res.count == _brute_census(polys, chi, 3, offs, N, rows) > 0
+
+
+def test_incomplete_sum_above_the_int64_limit():
+    # p > 3_037_000_499: the tiles' values are Python ints in object arrays
+    p = 4294967311
+    chi = _chi(p, 2)
+    P = poly([3, 1, 0, 1], p)
+    for lo, hi in ((0, 40), (p - 60, p - 1)):
+        assert incomplete_sum(P, chi, lo, hi) == _brute_tally(P, chi, lo, hi)
+
+
 # ---------------------------------------------------------------- shifted census
 
 
@@ -431,6 +460,26 @@ def test_shifted_census_matches_brute_force():
         assert res.count == brute
         assert res.boundary_miss == miss
     assert ran > 0
+
+
+def test_shifted_census_wraps_and_leaves_the_interval(monkeypatch):
+    # probes x + h past p - 1 wrap to small x, some inside the x-interval
+    # and some below it; others leave it above x_hi; membership comes from
+    # tiles of 7
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    p = 1009
+    fs = FieldSpec.from_prime(p)
+    C = curve(fs, 2, poly([1, 1, 0, 1], p))
+    offs = [0, 3, 700, p - 1]
+    for rect, stride in ((Rect(0, p - 1, 1, 504), 1), (Rect(5, p - 1, 1, 300), 2), (Rect(40, 900, 1, 504), 3)):
+        res = shifted_census(C, rect, offs, stride)
+        delta = _delta_fn(C, rect)
+        xs = [x for x in range(rect.x_lo, rect.x_hi + 1) if x % stride == 0]
+        assert any(x + h > p - 1 and rect.x_lo <= (x + h) % p for x in xs for h in offs)
+        assert res.count == sum(all(delta(x + h) for h in offs) for x in xs) > 0
+        misses = sum(any(not rect.x_lo <= (x + h) % p <= rect.x_hi for h in offs) for x in xs)
+        assert res.boundary_miss == misses
+        assert res.positions == len(xs)
 
 
 def test_shifted_census_condition_violation():

@@ -542,6 +542,33 @@ def test_condition_star_f7_examples():
     assert condition_star(C, Rect(0, 6, 3, 3))
 
 
+def test_rect_delta_matches_per_x_count_of_y(monkeypatch):
+    # one tile pass gives the membership over [0, p), zero outside the
+    # x-interval, and the first x with two y; x_lo > 0, and the witness is
+    # 10 points past it, in the second tile of 7
+    p = 1009
+    C = curve(_field(p), 2, poly([1, 1, 0, 1], p))
+
+    def count_of_y(y_hi):
+        roots = Counter(pow(y, 2, p) for y in range(1, y_hi + 1))
+        return [roots[C.P(x)] for x in range(p)]
+
+    count = count_of_y(700)
+    assert set(count) == {0, 1, 2}
+    witness = next(w for w in range(20, p) if count[w] >= 2 and max(count[w - 10 : w]) < 2)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    for y_hi, first in ((700, witness), ((p - 1) // 2, None)):
+        # y in [1, (p - 1) / 2] never holds both roots of a square
+        rect = Rect(witness - 10, p - 40, 1, y_hi)
+        count = count_of_y(y_hi)
+        want = [int(rect.x_lo <= x <= rect.x_hi and count[x] >= 1) for x in range(p)]
+        delta, got = curvewin._rect_delta(C, rect)
+        assert got == first and condition_star_witness(C, rect) == first
+        assert delta.dtype == np.int8 and delta.tolist() == want
+        assert not delta.flags.writeable
+        assert delta_array(C, rect).tolist() == want[rect.x_lo : rect.x_hi + 1]
+
+
 def test_restricted_example_f7():
     fs = _field(7)
     C = curve(fs, 2, x_poly(7))
@@ -694,7 +721,8 @@ def test_tally_scan_in_short_chunks(threads, monkeypatch):
     rect = Rect(0, p - 1, 1, 504)  # y^2 = x has at most one y in [1, 504]
     delta = delta_array(Cs[0], rect)
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
-    fibers = curvewin._rect_fibers(Cs[0], rect)
+    membership, witness = curvewin._rect_delta(Cs[0], rect)
+    assert witness is None and np.array_equal(membership, delta)
     # (spec, m, k): k = 1, 2, 3, m = 1, I = 0 and scan_len = 1
     cases = [
         (ScanSpec(3, 900, 50), 5, 1),
@@ -715,7 +743,7 @@ def test_tally_scan_in_short_chunks(threads, monkeypatch):
             assert jh == residue_histogram(direct[0], m)
         starts = range(spec.x_start, spec.x_start + spec.scan_len)
         restricted = np.array([delta[x0 + 1 : x0 + 1 + spec.window_len].sum() for x0 in starts])
-        tallied = curvewin._tally_scan([curvewin._delta_values(rect, fibers)], spec, m, threads)
+        tallied = curvewin._tally_scan([lambda lo, hi, _: membership[lo : hi + 1]], spec, m, threads)
         assert tallied == residue_histogram(restricted, m)
     # the experiment drivers run the same tallies
     spec = ScanSpec(3, 900, 50, block_len=5)
@@ -769,9 +797,9 @@ def test_tally_scan_fold_and_mod_paths(threads, monkeypatch):
         delta = delta_array(C, rect)
         starts = range(spec.x_start, spec.x_start + spec.scan_len)
         restricted = np.array([delta[x0 + 1 : x0 + 1 + spec.window_len].sum() for x0 in starts])
-        fibers = curvewin._rect_fibers(C, rect)
+        membership = curvewin._rect_delta(C, rect)[0]
         for m in (1, 3):
-            tallied = curvewin._tally_scan([curvewin._delta_values(rect, fibers)], spec, m, threads)
+            tallied = curvewin._tally_scan([lambda lo, hi, _: membership[lo : hi + 1]], spec, m, threads)
             assert tallied == residue_histogram(restricted, m)
             assert tallied.as_dict() == {(a,): c for a, c in enumerate(np.bincount(restricted % m, minlength=m))}
 
@@ -1083,15 +1111,15 @@ def test_model_size_rejected_before_the_scan(trials, blocks, monkeypatch):
         experiment_thm1(C, _spec10007(), m=3, trials=trials, seed=1, blocks=blocks)
 
 
-def _count_rect_fibers(monkeypatch) -> list:
+def _count_rect_deltas(monkeypatch) -> list:
     calls = []
-    inner = curvewin._rect_fibers
+    inner = curvewin._rect_delta
 
     def counted(C, rect):
         calls.append(rect)
         return inner(C, rect)
 
-    monkeypatch.setattr(curvewin, "_rect_fibers", counted)
+    monkeypatch.setattr(curvewin, "_rect_delta", counted)
     return calls
 
 
@@ -1099,9 +1127,9 @@ def test_thm3_report_regression(monkeypatch):
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
     rect = Rect(0, 10006, 1, 5003)
-    calls = _count_rect_fibers(monkeypatch)
+    calls = _count_rect_deltas(monkeypatch)
     rep = experiment_thm3(C, rect, _spec10007(), m=3, trials=50, seed=7)
-    # the condition_star hypothesis and the scan share one fiber pass
+    # the condition_star hypothesis and the scan share one membership pass
     assert calls == [rect]
     assert rep.discrepancy == THM3_DISC
     assert rep.bound == pytest.approx(4 * 81 / 10)
@@ -1116,7 +1144,7 @@ def test_thm3_condition_violation_named(monkeypatch):
     fs = _field(10007)
     C = curve(fs, 2, x_poly(10007))
     rect = Rect(0, 10006, 0, 10006)
-    calls = _count_rect_fibers(monkeypatch)
+    calls = _count_rect_deltas(monkeypatch)
     with pytest.raises(HypothesisError) as exc:
         experiment_thm3(C, rect, _spec10007(), m=3, trials=10, seed=1)
     assert exc.value.name == "condition_star"

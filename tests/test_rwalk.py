@@ -351,8 +351,14 @@ def test_prop21b_regression():
 
 
 def test_prop21b_k1_agrees_with_a():
-    for ell, m, L in [(2, 3, 2), (2, 5, 3)]:
-        assert exact_prop21b(ell, m, L, 1).lhs == exact_prop21a(ell, m, L).lhs
+    # part a is part b at k = 1; over criterion 4's grid both equal the
+    # integer oracle against part a's own bound 7 m^4 L ell^(2L + 2)
+    for m in (3, 5):
+        for L in range(2, 7):
+            res = exact_prop21a(2, m, L)
+            assert res == exact_prop21b(2, m, L, 1)
+            want = EnumResult.compare(_integer_oracle(_cum_power(2, L), m), 7 * m**4 * L * 2 ** (2 * L + 2))
+            assert res == want and res.passed
 
 
 def test_prop21b_matches_integer_oracle():
