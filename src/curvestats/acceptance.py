@@ -36,7 +36,7 @@ from .curvewin import (
     window_counts_direct,
 )
 from .errors import HypothesisError
-from .ffield import FieldSpec, character, pow_mod_vec
+from .ffield import FieldSpec, character, is_prime, pow_mod_vec
 from .polyff import Poly, poly, x_poly
 from .rwalk import exact_prop21a, exact_prop21b, exact_prop21c, model_reference
 
@@ -76,13 +76,8 @@ def _criterion(cid: int, name: str):
     return register
 
 
-def _primes_upto(limit: int) -> list[int]:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, int(limit**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return [int(q) for q in np.nonzero(sieve)[0]]
+def _odd_primes_upto(limit: int) -> list[int]:
+    return [q for q in range(3, limit + 1, 2) if is_prime(q)]
 
 
 def _random_poly(rng, p: int, max_deg: int) -> Poly:
@@ -100,9 +95,7 @@ def criterion_1(threads: int = 1) -> tuple[bool, str]:
     """Fiber sizes match exhaustive root counts on every small field."""
     rng = np.random.default_rng(10101)
     checked = 0
-    for p in _primes_upto(200):
-        if p == 2:
-            continue
+    for p in _odd_primes_upto(200):
         fs = FieldSpec.from_prime(p)
         xs = np.arange(p, dtype=np.int64)
         for ell in (2, 3, 4):
@@ -144,9 +137,7 @@ def criterion_2(threads: int = 1) -> tuple[bool, str]:
 def criterion_3(threads: int = 1) -> tuple[bool, str]:
     """Gauss-lemma parity agrees with the Legendre symbol everywhere."""
     checked = 0
-    for p in _primes_upto(300):
-        if p == 2:
-            continue
+    for p in _odd_primes_upto(300):
         for a in range(1, p):
             _, ok = gauss_lemma_check(a, p)
             if not ok:
@@ -343,7 +334,7 @@ def criterion_9(threads: int = 1) -> tuple[bool, str]:
 @_criterion(10, "beta partition")
 def criterion_10(threads: int = 1) -> tuple[bool, str]:
     """Beta-residue windows partition, and the one-y condition splits at p/2."""
-    primes = [q for q in _primes_upto(80) if q >= 5][:20]
+    primes = [q for q in _odd_primes_upto(80) if q >= 5][:20]
     if len(primes) < 20:
         return False, "prime list too short"
     for p in primes:

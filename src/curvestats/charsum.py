@@ -54,19 +54,6 @@ class CharSumTally:
         if any(c < 0 for c in self.counts) or self.zero_count < 0:
             raise ValueError("tallies must be nonnegative")
 
-    @property
-    def total_terms(self) -> int:
-        return sum(self.counts) + self.zero_count
-
-    def merge(self, other: "CharSumTally") -> "CharSumTally":
-        if self.d != other.d:
-            raise ValueError("cannot merge tallies of different orders")
-        return CharSumTally(
-            self.d,
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
-            self.zero_count + other.zero_count,
-        )
-
     def sum_value(self, twist: int = 1) -> complex:
         """The complex sum of chi^twist over the tallied terms."""
         return sum(
@@ -85,13 +72,12 @@ def incomplete_sum(P: Poly, chi: Character, lo: int, hi: int) -> CharSumTally:
         raise ValueError("polynomial modulus does not match the character field")
     if hi >= lo and not (0 <= lo and hi <= p - 1):
         raise ValueError("interval must lie inside [0, p-1]")
-    counts = np.zeros(chi.d, dtype=np.int64)
-    zeros = 0
+    # slot 0 tallies the zeros (index -1), slot k + 1 the index k
+    tally = np.zeros(chi.d + 1, dtype=np.int64)
     for s, n, buffers in _tiles(hi - lo + 1):
         idx = char_indices(chi, buffers.values(P, lo + s, n))
-        zeros += int((idx < 0).sum())
-        counts += np.bincount(idx[idx >= 0], minlength=chi.d)
-    return CharSumTally(chi.d, tuple(int(c) for c in counts), zeros)
+        tally += np.bincount(idx + 1, minlength=chi.d + 1)
+    return CharSumTally(chi.d, tuple(int(c) for c in tally[1:]), int(tally[0]))
 
 
 @dataclass(frozen=True)
@@ -208,33 +194,14 @@ def _probe_offsets(offsets, p: int) -> list[int]:
     return offs
 
 
-def _census_validate(chi: Character, stride: int, offsets, N: int):
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    if N < 0:
-        raise ValueError("range bound must be nonnegative")
-    return _probe_offsets(offsets, chi.field.p)
-
-
-def _census_regime(p: int, r: int, max_deg: int, theorem_mode: bool):
-    limit = math.log(p) / math.log(4 * max_deg)
-    ok = r < limit
-    detail = f"r = {r}, log p / log(4 deg) = {limit:.3f}"
-    if theorem_mode and not ok:
-        raise HypothesisError("census_r_regime", detail)
-    return ok, detail
-
-
 def _match_counts(chi: Character, polys, stride: int, offs, N: int, target_rows) -> int:
     """#{i in [0, N] : char index of P_l(i*stride + h_j) = v_{l,j} for all l, j}."""
+    probes = [(P, h, v) for P, row in zip(polys, target_rows) for h, v in zip(offs, row)]
     count = 0
     for s, n, buffers in _tiles(N + 1):
         match = np.ones(n, dtype=bool)
-        for P, row in zip(polys, target_rows):
-            for h, v in zip(offs, row):
-                match &= char_indices(chi, buffers.values(P, s * stride + h, n, stride)) == v
-                if not match.any():
-                    break
+        for P, h, v in probes:
+            match &= char_indices(chi, buffers.values(P, s * stride + h, n, stride)) == v
             if not match.any():
                 break
         count += int(match.sum())
@@ -275,7 +242,11 @@ def _census(polys, chi: Character, stride: int, offsets, N: int, targets, theore
     p = chi.field.p
     if any(P.p != p for P in polys):
         raise ValueError("polynomial modulus does not match the character field")
-    offs = _census_validate(chi, stride, offsets, N)
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    if N < 0:
+        raise ValueError("range bound must be nonnegative")
+    offs = _probe_offsets(offsets, p)
     rows = [tuple(int(t) for t in row) for row in targets]
     if len(rows) != len(polys) or any(len(row) != len(offs) for row in rows):
         raise ValueError("need one target row per polynomial, each matching the probe count")
@@ -293,9 +264,11 @@ def _census(polys, chi: Character, stride: int, offsets, N: int, targets, theore
         if not admissible(P, chi.ell):
             raise HypothesisError("P_admissible", str(P))
     k, r, d = len(polys), len(offs), chi.d
-    regime_ok, detail = _census_regime(
-        p, r, max(P.degree for P in polys), theorem_mode
-    )
+    limit = math.log(p) / math.log(4 * max(P.degree for P in polys))
+    regime_ok = r < limit
+    detail = f"r = {r}, log p / log(4 deg) = {limit:.3f}"
+    if theorem_mode and not regime_ok:
+        raise HypothesisError("census_r_regime", detail)
     count = _match_counts(chi, polys, stride, offs, N, rows)
     prediction = Fraction(N, d ** (k * r))
     residual = abs(count - prediction)

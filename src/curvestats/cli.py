@@ -434,55 +434,110 @@ def _cmd_verify(cfg: dict) -> tuple[dict, list]:
     }, []
 
 
-_COMMANDS = {
-    "phi": functools.partial(_cmd_experiment, "phi"),
-    "joint": functools.partial(_cmd_experiment, "joint"),
-    "restricted": functools.partial(_cmd_experiment, "restricted"),
-    "beta": _cmd_beta,
-    "walk": _cmd_walk,
-    "prop21": _cmd_prop21,
-    "charsum": _cmd_charsum,
-    "census": _cmd_census,
-    "shifted": _cmd_shifted,
-    "gauss": _cmd_gauss,
-    "gaps": _cmd_gaps,
-    "verify": _cmd_verify,
+# ---------------------------------------------------------------- argument parsing
+
+# Every field, declared once: its flags and its argparse keywords.  A field's
+# name is its dest unless the keywords name another.  In a config file a
+# field holds what its flag would: an integer for type=int, a list of strings
+# for action="append", true or false for action="store_true", and a string
+# otherwise.
+_FIELDS = {
+    "p": (("--p",), dict(type=int)),
+    "ell": (("--ell",), dict(type=int)),
+    "m": (("--m",), dict(type=int)),
+    "window": (("--window", "-I"), dict(type=int, help="window length I")),
+    "block": (("--block", "-L"), dict(type=int, help="block or walk length L")),
+    "x_start": (("--x-start",), dict(type=int)),
+    "scan_len": (("--scan-len",), dict(type=int)),
+    "poly": (
+        ("--poly",),
+        dict(action="append", help="coefficients, constant first: 1,0,1 is x^2+1; "
+             "repeat once per curve"),
+    ),
+    "blocks": (("--blocks",), dict(type=int, help="model blocks (default scan_len//L - 1)")),
+    "trials": (("--trials",), dict(type=int, help="model trials (default 500)")),
+    "seed": (("--seed",), dict(type=int, help="required for randomized commands")),
+    "x_lo": (("--x-lo",), dict(type=int)),
+    "x_hi": (("--x-hi",), dict(type=int)),
+    "y_lo": (("--y-lo",), dict(type=int)),
+    "y_hi": (("--y-hi",), dict(type=int)),
+    "beta": (("--beta",), dict(help="rational in (0, 1/2], e.g. 1/2 or 0.3")),
+    "part": (("--part",), dict(choices=["a", "b", "c"])),
+    "k": (("--k",), dict(type=int, help="number of walks for part b")),
+    "lo": (("--lo",), dict(type=int)),
+    "hi": (("--hi",), dict(type=int)),
+    "stride": (("--stride",), dict(type=int)),
+    "offsets": (("--offsets",), dict(help="comma-separated probe offsets")),
+    "count_range": (("--count-range",), dict(type=int, help="census range bound N")),
+    "v": (("--v",), dict(action="append", help="target indices, one row per polynomial")),
+    # an unset switch stays None, and so out of the report's config
+    "theorem_mode": (("--theorem-mode",), dict(action="store_true", default=None)),
+    "a": (("--a",), dict(type=int, help="single multiplier (default: sweep 1..p-1)")),
+    "mu": (("--mu",), dict(type=int, help="unity index to look for")),
+    # gaps: a comma list of window lengths, under the scans' dest
+    "windows": (("--window", "-L"), dict(dest="window", help="window length(s), comma-separated")),
+    "only": (("--only",), dict(help="comma-separated criterion ids")),
+    "config": (("--config",), dict(help="JSON config file; explicit flags override it")),
+    "threads": (("--threads",), dict(type=int, help="worker threads (default 1)")),
+    "format": (("--format",), dict(choices=["json", "csv"])),
+    "out": (("--out",), dict(help="output path (default stdout)")),
+}
+
+_SCAN = "p ell m window block x_start scan_len"
+_MODEL = "blocks trials seed"
+_RECT = "x_lo x_hi y_lo y_hi"
+_COMMON = "config threads format out"
+
+# Each subcommand: its handler, its help and its fields in flag order.  Every
+# subcommand also takes the _COMMON fields.
+_SUBCOMMANDS = {
+    "phi": (
+        functools.partial(_cmd_experiment, "phi"),
+        "window-count residue histogram of one curve",
+        f"{_SCAN} poly {_MODEL}",
+    ),
+    "joint": (
+        functools.partial(_cmd_experiment, "joint"),
+        "joint residue histogram over several curves",
+        f"{_SCAN} poly {_MODEL}",
+    ),
+    "restricted": (
+        functools.partial(_cmd_experiment, "restricted"),
+        "rectangle-restricted window histogram",
+        f"{_SCAN} poly {_RECT} {_MODEL}",
+    ),
+    "beta": (
+        _cmd_beta,
+        "beta-quadratic-residue window scan",
+        "p ell m window x_start scan_len beta",
+    ),
+    "walk": (_cmd_walk, "simulate the reference random walk", "ell m block trials seed"),
+    "prop21": (_cmd_prop21, "exact enumeration bounds for short walks", "part ell m block k"),
+    "charsum": (_cmd_charsum, "character-sum cancellation check", "p ell poly lo hi"),
+    "census": (
+        _cmd_census,
+        "stride census against N/d^r",
+        "p ell poly stride offsets count_range v theorem_mode",
+    ),
+    "shifted": (_cmd_shifted, "shifted rectangle census", f"p ell poly {_RECT} offsets stride"),
+    "gauss": (_cmd_gauss, "Gauss-lemma parity sweep", "p a"),
+    "gaps": (_cmd_gaps, "windows missing a character class", "p ell mu windows"),
+    "verify": (_cmd_verify, "run the full verification suite", "only"),
 }
 
 
-# ---------------------------------------------------------------- argument parsing
+def _command_fields(command: str):
+    """(dest, flags, keywords) of each field the command takes, in flag order."""
+    for name in f"{_SUBCOMMANDS[command][2]} {_COMMON}".split():
+        flags, kw = _FIELDS[name]
+        yield kw.get("dest", name), flags, kw
 
 
-def _add_common(sp, *, fmt=True):
-    sp.add_argument("--config", help="JSON config file; explicit flags override it")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
-    if fmt:
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
-        sp.add_argument("--out", help="output path (default stdout)")
-
-
-def _add_scan(sp, *, block=True):
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--window", "-I", dest="window", type=int, help="window length I")
-    if block:
-        sp.add_argument("--block", "-L", dest="block", type=int, help="block length L")
-    sp.add_argument("--x-start", dest="x_start", type=int)
-    sp.add_argument("--scan-len", dest="scan_len", type=int)
-
-
-def _add_model(sp):
-    sp.add_argument("--blocks", type=int, help="model blocks (default scan_len//L - 1)")
-    sp.add_argument("--trials", type=int, help="model trials (default 500)")
-    sp.add_argument("--seed", type=int, help="required for randomized commands")
-
-
-def _add_rect(sp):
-    sp.add_argument("--x-lo", dest="x_lo", type=int)
-    sp.add_argument("--x-hi", dest="x_hi", type=int)
-    sp.add_argument("--y-lo", dest="y_lo", type=int)
-    sp.add_argument("--y-hi", dest="y_hi", type=int)
+def _config_kind(kw: dict) -> type:
+    """What a field with argparse keywords kw holds in a config file."""
+    if kw.get("type") is int:
+        return int
+    return {"append": list, "store_true": bool}.get(kw.get("action"), str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,91 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"curvestats {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("phi", help="window-count residue histogram of one curve")
-    _add_scan(sp)
-    sp.add_argument("--poly", action="append", help="coefficients, constant first: 1,0,1 is x^2+1")
-    _add_model(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("joint", help="joint residue histogram over several curves")
-    _add_scan(sp)
-    sp.add_argument("--poly", action="append", help="repeat once per curve")
-    _add_model(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("restricted", help="rectangle-restricted window histogram")
-    _add_scan(sp)
-    sp.add_argument("--poly", action="append")
-    _add_rect(sp)
-    _add_model(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("beta", help="beta-quadratic-residue window scan")
-    _add_scan(sp, block=False)
-    sp.add_argument("--beta", help="rational in (0, 1/2], e.g. 1/2 or 0.3")
-    _add_common(sp)
-
-    sp = sub.add_parser("walk", help="simulate the reference random walk")
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--block", "-L", dest="block", type=int, help="walk length L")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    _add_common(sp)
-
-    sp = sub.add_parser("prop21", help="exact enumeration bounds for short walks")
-    sp.add_argument("--part", choices=["a", "b", "c"])
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--block", "-L", dest="block", type=int)
-    sp.add_argument("--k", type=int, help="number of walks for part b")
-    _add_common(sp)
-
-    sp = sub.add_parser("charsum", help="character-sum cancellation check")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--poly", action="append")
-    sp.add_argument("--lo", type=int)
-    sp.add_argument("--hi", type=int)
-    _add_common(sp)
-
-    sp = sub.add_parser("census", help="stride census against N/d^r")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--poly", action="append", help="repeat for a joint census")
-    sp.add_argument("--stride", type=int)
-    sp.add_argument("--offsets", help="comma-separated probe offsets")
-    sp.add_argument("--count-range", dest="count_range", type=int, help="census range bound N")
-    sp.add_argument("--v", action="append", help="target indices, one row per polynomial")
-    sp.add_argument("--theorem-mode", dest="theorem_mode", action="store_true", default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("shifted", help="shifted rectangle census")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--poly", action="append")
-    _add_rect(sp)
-    sp.add_argument("--offsets", help="comma-separated probe offsets")
-    sp.add_argument("--stride", type=int)
-    _add_common(sp)
-
-    sp = sub.add_parser("gauss", help="Gauss-lemma parity sweep")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--a", type=int, help="single multiplier (default: sweep 1..p-1)")
-    _add_common(sp)
-
-    sp = sub.add_parser("gaps", help="windows missing a character class")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--mu", type=int, help="unity index to look for")
-    sp.add_argument("--window", "-L", dest="window", help="window length(s), comma-separated")
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="run the full verification suite")
-    sp.add_argument("--only", help="comma-separated criterion ids")
-    _add_common(sp)
-
+    for command, (_, help_text, _) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for dest, flags, kw in _command_fields(command):
+            sp.add_argument(*flags, **{**kw, "dest": dest})
     return parser
 
 
@@ -586,25 +560,7 @@ _NON_CONFIG_KEYS = {"command", "config"}
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list of strings", bool: "true or false"}
 
 
-def _field_kinds(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
-    """What each of the command's fields holds when given as flags: int for
-    type=int, list (of strings) for repeatable flags, bool for switches,
-    str otherwise."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    kinds = {}
-    for a in sub.choices[command]._actions:
-        if a.type is int:
-            kinds[a.dest] = int
-        elif isinstance(a, argparse._AppendAction):
-            kinds[a.dest] = list
-        elif isinstance(a, argparse._StoreTrueAction):
-            kinds[a.dest] = bool
-        else:
-            kinds[a.dest] = str
-    return kinds
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
     path = getattr(args, "config", None)
     if path:
@@ -617,7 +573,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise UsageError(f"config file is not valid JSON: {e}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        kinds = _field_kinds(parser, args.command)
+        kinds = {dest: _config_kind(kw) for dest, _, kw in _command_fields(args.command)}
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise UsageError(
@@ -651,8 +607,8 @@ def run(argv) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        cfg = _merge_config(args, parser)
-        handler = _COMMANDS[args.command]
+        cfg = _merge_config(args)
+        handler = _SUBCOMMANDS[args.command][0]
         start = time.perf_counter()
         results, checks = handler(cfg)
         duration = time.perf_counter() - start

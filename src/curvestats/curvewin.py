@@ -103,10 +103,6 @@ class Curve:
     chi: Character
 
     @property
-    def field(self) -> FieldSpec:
-        return self.chi.field
-
-    @property
     def p(self) -> int:
         return self.chi.field.p
 
@@ -202,12 +198,6 @@ class Histogram:
         if self.total == 0:
             raise ValueError("empty histogram has no proportions")
         return Fraction(self.cell(a), self.total)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if (self.m, self.k) != (other.m, other.k):
-            raise ValueError("cannot merge histograms with different moduli")
-        counts = tuple(a + b for a, b in zip(self.counts, other.counts))
-        return Histogram(self.m, counts, self.k)
 
     def discrepancy(self) -> Fraction:
         """Exact squared deviation from uniform, sum over cells of (phi - 1/m^k)^2."""

@@ -9,7 +9,6 @@ integer arithmetic, with numpy fast paths for bulk evaluation.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "is_prime",
-    "pow_mod",
     "pow_mod_vec",
     "floor_mod",
     "factorize",
@@ -31,7 +29,6 @@ __all__ = [
     "char_index_table",
     "fiber_size_table",
     "legendre",
-    "unity_root",
 ]
 
 # Largest modulus for which (p-1)^2 still fits in a signed 64-bit product.
@@ -78,15 +75,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def pow_mod(base: int, exp: int, p: int) -> int:
-    """base**exp mod p by square and multiply; exp >= 0, p >= 2."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    return pow(base % p, exp, p)
 
 
 def floor_mod(
@@ -194,18 +182,16 @@ class FieldSpec:
 
     p: the odd prime modulus.
     g: smallest primitive root of p.
-    pm1_factors: prime factorization of p - 1.
     """
 
     p: int
     g: int
-    pm1_factors: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_prime(cls, p: int) -> "FieldSpec":
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        return cls(p=p, g=primitive_root(p), pm1_factors=factorize(p - 1))
+        return cls(p=p, g=primitive_root(p))
 
 
 @dataclass(frozen=True)
@@ -426,10 +412,3 @@ def legendre(a: int, p: int) -> int:
     if t == p - 1:
         return -1
     raise ValueError(f"{p} is not prime (Euler criterion gave {t})")
-
-
-def unity_root(d: int, j: int) -> complex:
-    """exp(2 pi i j / d)."""
-    if d < 1:
-        raise ValueError("root order must be positive")
-    return cmath.exp(2j * cmath.pi * (j % d) / d)

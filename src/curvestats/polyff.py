@@ -30,7 +30,6 @@ __all__ = [
     "poly",
     "x_poly",
     "constant",
-    "eval_poly",
     "squarefree_decomposition",
     "is_complete_power",
     "admissible",
@@ -233,11 +232,6 @@ def x_poly(p: int) -> Poly:
 
 def constant(c: int, p: int) -> Poly:
     return poly((c,), p)
-
-
-def eval_poly(P: Poly, x: int) -> int:
-    """Horner evaluation of P at x mod p."""
-    return P(x)
 
 
 def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

@@ -81,7 +81,7 @@ def test_nonresidue_times_square_concentrates():
 def test_empty_interval():
     chi = _chi(7, 2)
     t = incomplete_sum(x_poly(7), chi, 5, 4)
-    assert t.total_terms == 0
+    assert sum(t.counts) + t.zero_count == 0
     assert t.magnitude() == 0
 
 
@@ -108,7 +108,8 @@ def test_tally_splitting_property():
         whole = incomplete_sum(P, chi, 0, 102)
         left = incomplete_sum(P, chi, 0, mid)
         right = incomplete_sum(P, chi, mid + 1, 102)
-        assert left.merge(right) == whole
+        assert tuple(a + b for a, b in zip(left.counts, right.counts)) == whole.counts
+        assert left.zero_count + right.zero_count == whole.zero_count
 
 
 def test_tally_validation():
@@ -119,9 +120,8 @@ def test_tally_validation():
         incomplete_sum(x_poly(11), chi, 0, 3)
     with pytest.raises(ValueError):
         CharSumTally(2, (1, 2, 3), 0)
-    a = CharSumTally(2, (1, 0), 0)
     with pytest.raises(ValueError):
-        a.merge(CharSumTally(3, (0, 0, 0), 0))
+        CharSumTally(2, (1, -1), 0)
 
 
 def test_twisted_magnitudes_from_one_tally():

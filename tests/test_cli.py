@@ -379,3 +379,109 @@ def test_threads_below_one_exit_2(threads, tmp_path, capsys):
 def test_canonical_json_is_sorted_and_compact():
     text = cli.canonical_json({"b": 1, "a": [1, 2]})
     assert text == '{"a":[1,2],"b":1}'
+
+
+# ---------------------------------------------------------------- pinned flag surface
+
+# Every field each subcommand takes: its dest, its option strings and its
+# kind (int: type=int; str: a plain store; list: a repeatable flag; bool: a
+# switch).  Each field's default is None; CHOICES lists the fields with
+# choices.  Subcommands and fields appear in parser order.
+_SCAN = [
+    ("p", ["--p"], int), ("ell", ["--ell"], int), ("m", ["--m"], int),
+    ("window", ["--window", "-I"], int), ("block", ["--block", "-L"], int),
+    ("x_start", ["--x-start"], int), ("scan_len", ["--scan-len"], int),
+]
+_POLY = [("poly", ["--poly"], list)]
+_RECT = [
+    ("x_lo", ["--x-lo"], int), ("x_hi", ["--x-hi"], int),
+    ("y_lo", ["--y-lo"], int), ("y_hi", ["--y-hi"], int),
+]
+_MODEL = [("blocks", ["--blocks"], int), ("trials", ["--trials"], int), ("seed", ["--seed"], int)]
+_COMMON = [
+    ("config", ["--config"], str), ("threads", ["--threads"], int),
+    ("format", ["--format"], str), ("out", ["--out"], str),
+]
+PINNED_FIELDS = {
+    "phi": _SCAN + _POLY + _MODEL + _COMMON,
+    "joint": _SCAN + _POLY + _MODEL + _COMMON,
+    "restricted": _SCAN + _POLY + _RECT + _MODEL + _COMMON,
+    "beta": _SCAN[:4] + _SCAN[5:] + [("beta", ["--beta"], str)] + _COMMON,
+    "walk": _SCAN[1:3] + [("block", ["--block", "-L"], int)] + _MODEL[1:] + _COMMON,
+    "prop21": [("part", ["--part"], str)] + _SCAN[1:3] + [("block", ["--block", "-L"], int),
+               ("k", ["--k"], int)] + _COMMON,
+    "charsum": _SCAN[:2] + _POLY + [("lo", ["--lo"], int), ("hi", ["--hi"], int)] + _COMMON,
+    "census": _SCAN[:2] + _POLY + [
+        ("stride", ["--stride"], int), ("offsets", ["--offsets"], str),
+        ("count_range", ["--count-range"], int), ("v", ["--v"], list),
+        ("theorem_mode", ["--theorem-mode"], bool),
+    ] + _COMMON,
+    "shifted": _SCAN[:2] + _POLY + _RECT + [
+        ("offsets", ["--offsets"], str), ("stride", ["--stride"], int),
+    ] + _COMMON,
+    "gauss": [("p", ["--p"], int), ("a", ["--a"], int)] + _COMMON,
+    "gaps": _SCAN[:2] + [("mu", ["--mu"], int), ("window", ["--window", "-L"], str)] + _COMMON,
+    "verify": [("only", ["--only"], str)] + _COMMON,
+}
+CHOICES = {"part": ["a", "b", "c"], "format": ["json", "csv"]}
+# the argparse action each kind is stored through, and its type
+_KIND_ACTIONS = {
+    int: ("_StoreAction", int),
+    str: ("_StoreAction", None),
+    list: ("_AppendAction", None),
+    bool: ("_StoreTrueAction", None),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_subcommands_take_the_pinned_fields():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(PINNED_FIELDS)
+    for command, fields in PINNED_FIELDS.items():
+        got = [
+            (a.dest, a.option_strings, type(a).__name__, a.type, a.default, a.choices, a.required)
+            for a in subparsers[command]._actions
+            if a.dest != "help"
+        ]
+        want = [
+            (dest, flags, *_KIND_ACTIONS[kind], None, CHOICES.get(dest), False)
+            for dest, flags, kind in fields
+        ]
+        assert got == want, command
+
+
+# a config value of the wrong kind for each field kind, and the kind's name
+_WRONG_KIND = {
+    int: ("1", "an integer"),
+    str: (1, "a string"),
+    list: ("1", "a list of strings"),
+    bool: (1, "true or false"),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_FIELDS))
+def test_config_file_kinds_follow_the_pinned_fields(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for dest, _, kind in PINNED_FIELDS[command]:
+        value, name = _WRONG_KIND[kind]
+        cfg.write_text(json.dumps({dest: value}))
+        assert cli.run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        if dest == "config":
+            assert f"unknown config field 'config' for command '{command}'" in err
+        else:
+            assert f"config field '{dest}' must be {name}, not {json.dumps(value)}" in err
+
+
+@pytest.mark.parametrize("command", list(PINNED_FIELDS))
+def test_subcommand_help_formats(command, capsys):
+    # argparse %-formats help strings only when it prints them
+    assert cli.run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: curvestats {command} ")
+    for _, flags, _ in PINNED_FIELDS[command]:
+        assert flags[0] in out

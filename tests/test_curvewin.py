@@ -420,15 +420,7 @@ def test_histogram_conservation():
         h = residue_histogram(counts, m)
         assert h.total == 500
         assert sum(h.phi(a) for a in range(m)) == 1
-
-
-def test_histogram_merge():
-    a = residue_histogram(np.array([1, 2, 3]), 2)
-    b = residue_histogram(np.array([4]), 2)
-    assert a.counts == (1, 2)
-    assert a.merge(b).counts == (2, 2)
-    with pytest.raises(ValueError):
-        a.merge(residue_histogram(np.array([1]), 3))
+    assert residue_histogram(np.array([1, 2, 3]), 2).counts == (1, 2)
 
 
 def test_discrepancy_closed_forms():
