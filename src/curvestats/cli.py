@@ -15,9 +15,11 @@ error.  Randomized subcommands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -138,10 +140,8 @@ def _report_csv(report: dict) -> str:
         labels = ["|".join(str(a) for a in cell["a"]) for cell in jh["cells"]]
         counts = [cell["count"] for cell in jh["cells"]]
         return _csv_rows(labels, counts, jh["total"])
-    if "class_counts" in res:
-        counts = res["class_counts"]
-        return _csv_rows(range(len(counts)), counts, res["total_steps"])
-    raise UsageError("csv format is only available for histogram-producing commands")
+    counts = res["class_counts"]
+    return _csv_rows(range(len(counts)), counts, res["total_steps"])
 
 
 def canonical_json(report: dict) -> str:
@@ -152,15 +152,13 @@ def canonical_json(report: dict) -> str:
 def emit(report: dict, fmt: str, path: str | None, duration: float) -> None:
     if fmt == "csv":
         text = _report_csv(report)
-    elif fmt == "json":
+    else:
         text = json.dumps(
             {"report": report, "meta": {"duration_s": round(duration, 6)}},
             sort_keys=True,
             indent=2,
         )
         text += "\n"
-    else:
-        raise UsageError(f"unknown output format '{fmt}'")
     if path:
         try:
             with open(path, "w") as f:
@@ -180,16 +178,11 @@ def _parse_poly_field(value: str, p: int):
         coeffs = [int(tok) for tok in value.split(",")]
     except ValueError:
         raise UsageError(f"polynomial '{value}' is not a comma-separated integer list")
-    if not coeffs:
-        raise UsageError("polynomial needs at least one coefficient")
     return poly(coeffs, p)
 
 
 def _parse_polys(cfg, p: int):
-    raw = cfg.get("poly")
-    if raw is None:
-        raise UsageError("missing required field 'poly'")
-    return [_parse_poly_field(entry, p) for entry in raw]
+    return [_parse_poly_field(entry, p) for entry in cfg["poly"]]
 
 
 def _parse_one_poly(cfg, p: int):
@@ -219,23 +212,18 @@ def _parse_beta(value) -> Fraction:
 def _require(cfg: dict, fields) -> None:
     for f in fields:
         if cfg.get(f) is None:
+            if f == "seed":
+                raise UsageError("randomized command requires an explicit 'seed'")
             raise UsageError(f"missing required field '{f}'")
-
-
-def _require_seed(cfg: dict) -> None:
-    if cfg.get("seed") is None:
-        raise UsageError("randomized command requires an explicit 'seed'")
 
 
 def _field(cfg) -> FieldSpec:
     return FieldSpec.from_prime(cfg["p"])
 
 
-def _scan_spec(cfg: dict, p: int, need_block: bool) -> ScanSpec:
+def _scan_spec(cfg: dict, p: int) -> ScanSpec:
     I = cfg["window"]
     L = cfg.get("block")
-    if need_block and L is None:
-        raise UsageError("missing required field 'block'")
     x_start = cfg.get("x_start") if cfg.get("x_start") is not None else 0
     scan_len = cfg.get("scan_len")
     if scan_len is None:
@@ -246,7 +234,6 @@ def _scan_spec(cfg: dict, p: int, need_block: bool) -> ScanSpec:
 def _rect(cfg: dict, p: int) -> Rect:
     x_lo = cfg.get("x_lo") if cfg.get("x_lo") is not None else 0
     x_hi = cfg.get("x_hi") if cfg.get("x_hi") is not None else p - 1
-    _require(cfg, ["y_lo", "y_hi"])
     return Rect(x_lo=x_lo, x_hi=x_hi, y_lo=cfg["y_lo"], y_hi=cfg["y_hi"])
 
 
@@ -272,11 +259,9 @@ def _experiment_json(rep) -> dict:
 
 def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
     """phi, joint and restricted: the thm1, thm2 and thm3 experiments."""
-    _require(cfg, ["p", "ell", "m", "poly", "window"])
-    _require_seed(cfg)
     fs = _field(cfg)
     polys = _parse_polys(cfg, fs.p) if command == "joint" else [_parse_one_poly(cfg, fs.p)]
-    spec = _scan_spec(cfg, fs.p, need_block=True)
+    spec = _scan_spec(cfg, fs.p)
     rect = _rect(cfg, fs.p) if command == "restricted" else None
     Cs = [curve(fs, cfg["ell"], P) for P in polys]
     opts = {
@@ -296,9 +281,8 @@ def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_beta(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "beta", "window"])
     fs = _field(cfg)
-    spec = _scan_spec(cfg, fs.p, need_block=False)
+    spec = _scan_spec(cfg, fs.p)
     scan = beta_residue_scan(fs, _parse_beta(cfg["beta"]), spec, m=cfg.get("m"))
     res = {
         "beta": _frac_json(scan.beta),
@@ -313,8 +297,6 @@ def _cmd_beta(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_walk(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["ell", "m", "block"])
-    _require_seed(cfg)
     wc = WalkConfig(
         ell=cfg["ell"],
         m=cfg["m"],
@@ -339,22 +321,18 @@ def _cmd_walk(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_prop21(cfg: dict) -> tuple[dict, list]:
-    part = cfg.get("part")
-    _require(cfg, ["part", "m", "block"] if part == "c" else ["part", "ell", "m", "block"])
+    part = cfg["part"]
+    _require(cfg, {"a": ["ell"], "b": ["ell", "k"], "c": []}[part])
     if part == "a":
         enum = exact_prop21a(cfg["ell"], cfg["m"], cfg["block"])
     elif part == "b":
-        _require(cfg, ["k"])
         enum = exact_prop21b(cfg["ell"], cfg["m"], cfg["block"], cfg["k"])
-    elif part == "c":
-        enum = exact_prop21c(cfg["m"], cfg["block"])
     else:
-        raise UsageError(f"unknown enumeration part '{part}'")
+        enum = exact_prop21c(cfg["m"], cfg["block"])
     return {"part": part, **asdict(enum)}, []
 
 
 def _cmd_charsum(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "poly"])
     fs = _field(cfg)
     P = _parse_one_poly(cfg, fs.p)
     chi = character(fs, cfg["ell"])
@@ -369,7 +347,6 @@ def _census_json(res) -> dict:
 
 
 def _cmd_census(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "poly", "offsets", "count_range", "v"])
     fs = _field(cfg)
     polys = _parse_polys(cfg, fs.p)
     chi = character(fs, cfg["ell"])
@@ -384,7 +361,6 @@ def _cmd_census(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_shifted(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "poly", "offsets"])
     fs = _field(cfg)
     P = _parse_one_poly(cfg, fs.p)
     C = curve(fs, cfg["ell"], P)
@@ -395,7 +371,6 @@ def _cmd_shifted(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_gauss(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p"])
     p = cfg["p"]
     FieldSpec.from_prime(p)
     a_values = [cfg["a"]] if cfg.get("a") is not None else list(range(1, p))
@@ -407,7 +382,6 @@ def _cmd_gauss(cfg: dict) -> tuple[dict, list]:
 
 
 def _cmd_gaps(cfg: dict) -> tuple[dict, list]:
-    _require(cfg, ["p", "ell", "mu", "window"])
     fs = _field(cfg)
     lengths = _parse_int_list(cfg["window"], "window")
     values = cor4_exceptional(fs, cfg["ell"], lengths, cfg["mu"])
@@ -483,54 +457,58 @@ _FIELDS = {
     "out": (("--out",), dict(help="output path (default stdout)")),
 }
 
-_SCAN = "p ell m window block x_start scan_len"
-_MODEL = "blocks trials seed"
-_RECT = "x_lo x_hi y_lo y_hi"
+_SCAN = "p! ell! m! window! block! x_start scan_len"
+_MODEL = "blocks trials seed!"
+_RECT = "x_lo x_hi y_lo! y_hi!"
 _COMMON = "config threads format out"
 
-# Each subcommand: its handler, its help and its fields in flag order.  Every
-# subcommand also takes the _COMMON fields.
+# Each subcommand: its handler, its help and its fields in flag order, where a
+# trailing "!" marks a required one.  Every subcommand also takes _COMMON.
 _SUBCOMMANDS = {
     "phi": (
         functools.partial(_cmd_experiment, "phi"),
         "window-count residue histogram of one curve",
-        f"{_SCAN} poly {_MODEL}",
+        f"{_SCAN} poly! {_MODEL}",
     ),
     "joint": (
         functools.partial(_cmd_experiment, "joint"),
         "joint residue histogram over several curves",
-        f"{_SCAN} poly {_MODEL}",
+        f"{_SCAN} poly! {_MODEL}",
     ),
     "restricted": (
         functools.partial(_cmd_experiment, "restricted"),
         "rectangle-restricted window histogram",
-        f"{_SCAN} poly {_RECT} {_MODEL}",
+        f"{_SCAN} poly! {_RECT} {_MODEL}",
     ),
     "beta": (
         _cmd_beta,
         "beta-quadratic-residue window scan",
-        "p ell m window x_start scan_len beta",
+        "p! m window! x_start scan_len beta!",
     ),
-    "walk": (_cmd_walk, "simulate the reference random walk", "ell m block trials seed"),
-    "prop21": (_cmd_prop21, "exact enumeration bounds for short walks", "part ell m block k"),
-    "charsum": (_cmd_charsum, "character-sum cancellation check", "p ell poly lo hi"),
+    "walk": (_cmd_walk, "simulate the reference random walk", "ell! m! block! trials seed!"),
+    "prop21": (_cmd_prop21, "exact enumeration bounds for short walks", "part! ell m! block! k"),
+    "charsum": (_cmd_charsum, "character-sum cancellation check", "p! ell! poly! lo hi"),
     "census": (
         _cmd_census,
         "stride census against N/d^r",
-        "p ell poly stride offsets count_range v theorem_mode",
+        "p! ell! poly! stride offsets! count_range! v! theorem_mode",
     ),
-    "shifted": (_cmd_shifted, "shifted rectangle census", f"p ell poly {_RECT} offsets stride"),
-    "gauss": (_cmd_gauss, "Gauss-lemma parity sweep", "p a"),
-    "gaps": (_cmd_gaps, "windows missing a character class", "p ell mu windows"),
+    "shifted": (_cmd_shifted, "shifted rectangle census", f"p! ell! poly! {_RECT} offsets! stride"),
+    "gauss": (_cmd_gauss, "Gauss-lemma parity sweep", "p! a"),
+    "gaps": (_cmd_gaps, "windows missing a character class", "p! ell! mu! windows!"),
     "verify": (_cmd_verify, "run the full verification suite", "only"),
 }
 
+# The subcommands that render CSV, each with the fields that rendering needs.
+_CSV_NEEDS = {"phi": [], "joint": [], "restricted": [], "walk": [], "beta": ["m"]}
+
 
 def _command_fields(command: str):
-    """(dest, flags, keywords) of each field the command takes, in flag order."""
-    for name in f"{_SUBCOMMANDS[command][2]} {_COMMON}".split():
+    """(dest, flags, keywords, required) of each field the command takes, in flag order."""
+    for token in f"{_SUBCOMMANDS[command][2]} {_COMMON}".split():
+        name = token.rstrip("!")
         flags, kw = _FIELDS[name]
-        yield kw.get("dest", name), flags, kw
+        yield kw.get("dest", name), flags, kw, token != name
 
 
 def _config_kind(kw: dict) -> type:
@@ -549,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        for dest, flags, kw in _command_fields(command):
+        for dest, flags, kw, _ in _command_fields(command):
             sp.add_argument(*flags, **{**kw, "dest": dest})
     return parser
 
@@ -561,6 +539,9 @@ _KIND_NAMES = {int: "an integer", str: "a string", list: "a list of strings", bo
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The flags merged over the config file and the defaults.  Refuses every usage
+    error before the handler runs, but those found parsing a list, poly or beta."""
+    fields = {dest: (kw, required) for dest, _, kw, required in _command_fields(args.command)}
     cfg = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
     path = getattr(args, "config", None)
     if path:
@@ -573,19 +554,24 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file is not valid JSON: {e}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        kinds = {dest: _config_kind(kw) for dest, _, kw in _command_fields(args.command)}
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise UsageError(
                     f"unknown config field '{key}' for command '{args.command}'"
                 )
-            kind = kinds[key]
-            if value is not None and (
-                type(value) is not kind
-                or (kind is list and any(type(v) is not str for v in value))
-            ):
+            if value is None:
+                continue
+            kw = fields[key][0]
+            kind = _config_kind(kw)
+            if type(value) is not kind or (kind is list and any(type(v) is not str for v in value)):
                 raise UsageError(
                     f"config field '{key}' must be {_KIND_NAMES[kind]}, not {json.dumps(value)}"
+                )
+            choices = kw.get("choices")
+            if choices and value not in choices:
+                raise UsageError(
+                    f"config field '{key}' must be one of {json.dumps(choices)}, "
+                    f"not {json.dumps(value)}"
                 )
             if cfg[key] is None:
                 cfg[key] = value
@@ -595,8 +581,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"threads must be at least 1, not {cfg['threads']}")
     if "trials" in cfg and cfg["trials"] is None:
         cfg["trials"] = 500
-    if "format" in cfg and cfg["format"] is None:
+    if cfg["format"] is None:
         cfg["format"] = "json"
+    _require(cfg, [dest for dest, (_, required) in fields.items() if required])
+    needs = _CSV_NEEDS.get(args.command)
+    if cfg["format"] == "csv" and (needs is None or any(cfg[f] is None for f in needs)):
+        raise UsageError("csv format is only available for histogram-producing commands")
+    out = cfg["out"]
+    # emit opens the file only after the work, so that a failed job never
+    # truncates it; a target that cannot be a file is refused now
+    if out:
+        try:
+            if os.path.isdir(out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+            os.stat(os.path.join(os.path.dirname(out), "."))  # its directory exists
+        except OSError as e:
+            raise UsageError(f"cannot write output file: {e}")
     return cfg
 
 
@@ -623,8 +623,7 @@ def run(argv) -> int:
             "hypotheses": _checks_json(checks),
             "results": results,
         }
-        fmt = cfg.get("format") or "json"
-        emit(report, fmt, cfg.get("out"), duration)
+        emit(report, cfg["format"], cfg["out"], duration)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

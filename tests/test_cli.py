@@ -299,6 +299,108 @@ def test_beta_csv_without_modulus_exits_2(capsys):
     assert "csv" in out.err and out.out == ""
 
 
+# ------------------------------------------------- usage errors before the work
+
+
+class _Reached(Exception):
+    """Raised by a stand-in handler: the request passed every usage check."""
+
+
+def _stub_handler(monkeypatch, command):
+    def handler(cfg):
+        raise _Reached(command)
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, command, (handler, *cli._SUBCOMMANDS[command][1:]))
+
+
+_EXPERIMENT = {"--p": "7", "--ell": "2", "--m": "3", "--window": "2", "--block": "1",
+               "--poly": "0,1", "--seed": "1"}
+# a small request per subcommand holding exactly its required fields, flag -> value
+REQUIRED = {
+    "phi": _EXPERIMENT,
+    "joint": _EXPERIMENT,
+    "restricted": {**_EXPERIMENT, "--y-lo": "1", "--y-hi": "3"},
+    "beta": {"--p": "103", "--window": "7", "--beta": "1/2"},
+    "walk": {"--ell": "2", "--m": "3", "--block": "4", "--seed": "1"},
+    "prop21": {"--part": "c", "--m": "3", "--block": "4"},
+    "charsum": {"--p": "7", "--ell": "2", "--poly": "0,1"},
+    "census": {"--p": "13", "--ell": "2", "--poly": "0,1", "--offsets": "0",
+               "--count-range": "10", "--v": "0"},
+    "shifted": {"--p": "13", "--ell": "2", "--poly": "0,1", "--y-lo": "1", "--y-hi": "3",
+                "--offsets": "0"},
+    "gauss": {"--p": "7"},
+    "gaps": {"--p": "13", "--ell": "2", "--mu": "1", "--window": "3"},
+    "verify": {},
+}
+
+
+def _argv(command, flags):
+    return [command, *(tok for flag, value in flags.items() for tok in (flag, value))]
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_required_fields_reach_the_handler(command, monkeypatch):
+    _stub_handler(monkeypatch, command)
+    with pytest.raises(_Reached):
+        cli.run(_argv(command, REQUIRED[command]))
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED.items() for f in flags])
+def test_missing_required_field_exits_2_before_the_handler(command, flag, monkeypatch, capsys):
+    _stub_handler(monkeypatch, command)
+    flags = {f: v for f, v in REQUIRED[command].items() if f != flag}
+    assert cli.run(_argv(command, flags)) == 2
+    dest = flag[2:].replace("-", "_")
+    reason = (
+        "randomized command requires an explicit 'seed'" if dest == "seed"
+        else f"missing required field '{dest}'"
+    )
+    assert capsys.readouterr().err == f"usage error: {reason}\n"
+
+
+_CSV_REFUSED = "usage error: csv format is only available for histogram-producing commands"
+_WITHOUT_WINDOW_OR_POLY = {
+    f: v for f, v in REQUIRED["phi"].items() if f not in ("--window", "--poly")
+}
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["gauss", "--p", "7"], {"format": "xml"},
+     'usage error: config field \'format\' must be one of ["json", "csv"], not "xml"'),
+    (["prop21", "--m", "3", "--block", "2"], {"part": "d"},
+     'usage error: config field \'part\' must be one of ["a", "b", "c"], not "d"'),
+    (["gauss", "--p", "7", "--out", "{tmp}/missing/x.json"], None,
+     "usage error: cannot write output file: [Errno 2] No such file or directory: "
+     "'{tmp}/missing/.'"),
+    (["gauss", "--p", "7", "--out", "{tmp}"], None,
+     "usage error: cannot write output file: [Errno 21] Is a directory: '{tmp}'"),
+    (["gauss", "--p", "7", "--format", "csv"], None, _CSV_REFUSED),
+    (_argv("beta", REQUIRED["beta"]) + ["--format", "csv"], None, _CSV_REFUSED),
+    # several missing fields: the first in flag order is named
+    (_argv("phi", _WITHOUT_WINDOW_OR_POLY), None, "usage error: missing required field 'window'"),
+], ids=["format-xml", "part-d", "out-missing-dir", "out-dir", "gauss-csv", "beta-csv-no-m",
+        "first-missing"])
+def test_bad_request_exits_2_before_the_handler(argv, config, err, monkeypatch, tmp_path, capsys):
+    _stub_handler(monkeypatch, argv[0])
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert cli.run(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == err.replace("{tmp}", str(tmp_path)) + "\n"
+    assert out.out == ""
+
+
+def test_failed_job_keeps_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"an earlier report\n")
+    assert cli.run(["gauss", "--p", "8", "--out", str(path)]) == 1
+    assert "validation failure" in capsys.readouterr().err
+    assert path.read_bytes() == b"an earlier report\n"
+
+
 def test_config_file_fills_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 11, "a": 3}))
@@ -406,7 +508,7 @@ PINNED_FIELDS = {
     "phi": _SCAN + _POLY + _MODEL + _COMMON,
     "joint": _SCAN + _POLY + _MODEL + _COMMON,
     "restricted": _SCAN + _POLY + _RECT + _MODEL + _COMMON,
-    "beta": _SCAN[:4] + _SCAN[5:] + [("beta", ["--beta"], str)] + _COMMON,
+    "beta": _SCAN[:1] + _SCAN[2:4] + _SCAN[5:] + [("beta", ["--beta"], str)] + _COMMON,
     "walk": _SCAN[1:3] + [("block", ["--block", "-L"], int)] + _MODEL[1:] + _COMMON,
     "prop21": [("part", ["--part"], str)] + _SCAN[1:3] + [("block", ["--block", "-L"], int),
                ("k", ["--k"], int)] + _COMMON,
