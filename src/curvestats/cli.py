@@ -172,31 +172,26 @@ def emit(report: dict, fmt: str, path: str | None, duration: float) -> None:
 # ---------------------------------------------------------------- config plumbing
 
 
-def _parse_poly_field(value: str, p: int):
-    """A polynomial given as '1,0,2', constant first."""
-    try:
-        coeffs = [int(tok) for tok in value.split(",")]
-    except ValueError:
-        raise UsageError(f"polynomial '{value}' is not a comma-separated integer list")
-    return poly(coeffs, p)
-
-
-def _parse_polys(cfg, p: int):
-    return [_parse_poly_field(entry, p) for entry in cfg["poly"]]
-
-
-def _parse_one_poly(cfg, p: int):
-    polys = _parse_polys(cfg, p)
-    if len(polys) != 1:
-        raise UsageError("this command takes exactly one 'poly'")
-    return polys[0]
-
-
-def _parse_int_list(value: str, field: str):
+def _parse_int_list(value: str, field: str) -> list[int]:
     try:
         return [int(t) for t in value.split(",")]
     except ValueError:
         raise UsageError(f"field '{field}' is not an integer list")
+
+
+def _parse_coefficients(value: str) -> list[int]:
+    """A polynomial given as '1,0,2', constant first."""
+    try:
+        return [int(tok) for tok in value.split(",")]
+    except ValueError:
+        raise UsageError(f"polynomial '{value}' is not a comma-separated integer list")
+
+
+def _parse_one_poly(values: list[str]) -> list[int]:
+    polys = [_parse_coefficients(v) for v in values]
+    if len(polys) != 1:
+        raise UsageError("this command takes exactly one 'poly'")
+    return polys[0]
 
 
 def _parse_beta(value) -> Fraction:
@@ -260,7 +255,7 @@ def _experiment_json(rep) -> dict:
 def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
     """phi, joint and restricted: the thm1, thm2 and thm3 experiments."""
     fs = _field(cfg)
-    polys = _parse_polys(cfg, fs.p) if command == "joint" else [_parse_one_poly(cfg, fs.p)]
+    polys = [poly(c, fs.p) for c in (cfg["poly"] if command == "joint" else [cfg["poly"]])]
     spec = _scan_spec(cfg, fs.p)
     rect = _rect(cfg, fs.p) if command == "restricted" else None
     Cs = [curve(fs, cfg["ell"], P) for P in polys]
@@ -283,7 +278,7 @@ def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
 def _cmd_beta(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
     spec = _scan_spec(cfg, fs.p)
-    scan = beta_residue_scan(fs, _parse_beta(cfg["beta"]), spec, m=cfg.get("m"))
+    scan = beta_residue_scan(fs, cfg["beta"], spec, m=cfg.get("m"))
     res = {
         "beta": _frac_json(scan.beta),
         "y_max": scan.y_max,
@@ -334,7 +329,7 @@ def _cmd_prop21(cfg: dict) -> tuple[dict, list]:
 
 def _cmd_charsum(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
-    P = _parse_one_poly(cfg, fs.p)
+    P = poly(cfg["poly"], fs.p)
     chi = character(fs, cfg["ell"])
     lo = cfg.get("lo") if cfg.get("lo") is not None else 0
     hi = cfg.get("hi") if cfg.get("hi") is not None else fs.p - 1
@@ -348,26 +343,23 @@ def _census_json(res) -> dict:
 
 def _cmd_census(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
-    polys = _parse_polys(cfg, fs.p)
+    polys = [poly(c, fs.p) for c in cfg["poly"]]
     chi = character(fs, cfg["ell"])
-    offsets = _parse_int_list(cfg["offsets"], "offsets")
     stride = cfg.get("stride") if cfg.get("stride") is not None else 1
     theorem_mode = bool(cfg.get("theorem_mode"))
-    rows = [_parse_int_list(row, "v") for row in cfg["v"]]
     res = joint_census(
-        polys, chi, stride, offsets, cfg["count_range"], rows, theorem_mode=theorem_mode
+        polys, chi, stride, cfg["offsets"], cfg["count_range"], cfg["v"], theorem_mode=theorem_mode
     )
     return _census_json(res), []
 
 
 def _cmd_shifted(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
-    P = _parse_one_poly(cfg, fs.p)
+    P = poly(cfg["poly"], fs.p)
     C = curve(fs, cfg["ell"], P)
     rect = _rect(cfg, fs.p)
-    offsets = _parse_int_list(cfg["offsets"], "offsets")
     stride = cfg.get("stride") if cfg.get("stride") is not None else 1
-    return _census_json(shifted_census(C, rect, offsets, stride)), []
+    return _census_json(shifted_census(C, rect, cfg["offsets"], stride)), []
 
 
 def _cmd_gauss(cfg: dict) -> tuple[dict, list]:
@@ -383,7 +375,7 @@ def _cmd_gauss(cfg: dict) -> tuple[dict, list]:
 
 def _cmd_gaps(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
-    lengths = _parse_int_list(cfg["window"], "window")
+    lengths = cfg["window"]
     values = cor4_exceptional(fs, cfg["ell"], lengths, cfg["mu"])
     counts = [{"L": L, "count": c} for L, c in zip(lengths, values)]
     return {"counts": counts, "monotone": values == sorted(values, reverse=True)}, []
@@ -392,9 +384,7 @@ def _cmd_gaps(cfg: dict) -> tuple[dict, list]:
 def _cmd_verify(cfg: dict) -> tuple[dict, list]:
     from . import acceptance
 
-    only = None
-    if cfg.get("only") is not None:
-        only = set(_parse_int_list(cfg["only"], "only"))
+    only = set(cfg["only"]) if cfg.get("only") is not None else None
     results = acceptance.run_all(threads=cfg["threads"], only=only)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -411,10 +401,12 @@ def _cmd_verify(cfg: dict) -> tuple[dict, list]:
 # ---------------------------------------------------------------- argument parsing
 
 # Every field, declared once: its flags and its argparse keywords.  A field's
-# name is its dest unless the keywords name another.  In a config file a
+# name is its dest unless the keywords name another; _PARSERS holds the
+# fields whose string values a handler reads parsed.  In a config file a
 # field holds what its flag would: an integer for type=int, a list of strings
 # for action="append", true or false for action="store_true", and a string
 # otherwise.
+_POLY_HELP = "coefficients, constant first: 1,0,1 is x^2+1"
 _FIELDS = {
     "p": (("--p",), dict(type=int)),
     "ell": (("--ell",), dict(type=int)),
@@ -423,10 +415,12 @@ _FIELDS = {
     "block": (("--block", "-L"), dict(type=int, help="block or walk length L")),
     "x_start": (("--x-start",), dict(type=int)),
     "scan_len": (("--scan-len",), dict(type=int)),
-    "poly": (
+    # one curve's polynomial; a repeated flag is refused when parsed
+    "poly": (("--poly",), dict(action="append", help=_POLY_HELP)),
+    # one polynomial per curve, under the same dest
+    "polys": (
         ("--poly",),
-        dict(action="append", help="coefficients, constant first: 1,0,1 is x^2+1; "
-             "repeat once per curve"),
+        dict(dest="poly", action="append", help=f"{_POLY_HELP}; repeat once per curve"),
     ),
     "blocks": (("--blocks",), dict(type=int, help="model blocks (default scan_len//L - 1)")),
     "trials": (("--trials",), dict(type=int, help="model trials (default 500)")),
@@ -473,7 +467,7 @@ _SUBCOMMANDS = {
     "joint": (
         functools.partial(_cmd_experiment, "joint"),
         "joint residue histogram over several curves",
-        f"{_SCAN} poly! {_MODEL}",
+        f"{_SCAN} polys! {_MODEL}",
     ),
     "restricted": (
         functools.partial(_cmd_experiment, "restricted"),
@@ -491,7 +485,7 @@ _SUBCOMMANDS = {
     "census": (
         _cmd_census,
         "stride census against N/d^r",
-        "p! ell! poly! stride offsets! count_range! v! theorem_mode",
+        "p! ell! polys! stride offsets! count_range! v! theorem_mode",
     ),
     "shifted": (_cmd_shifted, "shifted rectangle census", f"p! ell! poly! {_RECT} offsets! stride"),
     "gauss": (_cmd_gauss, "Gauss-lemma parity sweep", "p! a"),
@@ -499,16 +493,30 @@ _SUBCOMMANDS = {
     "verify": (_cmd_verify, "run the full verification suite", "only"),
 }
 
+# The fields parsed before the handler runs, each with its parser.  A parse
+# error is a usage error, so it is refused before any field check that
+# needs the work, p's primality included.
+_PARSERS = {
+    "poly": _parse_one_poly,
+    "polys": lambda values: [_parse_coefficients(v) for v in values],
+    "offsets": lambda value: _parse_int_list(value, "offsets"),
+    "v": lambda rows: [_parse_int_list(row, "v") for row in rows],
+    "windows": lambda value: _parse_int_list(value, "window"),
+    "only": lambda value: _parse_int_list(value, "only"),
+    "beta": _parse_beta,
+}
+
 # The subcommands that render CSV, each with the fields that rendering needs.
 _CSV_NEEDS = {"phi": [], "joint": [], "restricted": [], "walk": [], "beta": ["m"]}
 
 
 def _command_fields(command: str):
-    """(dest, flags, keywords, required) of each field the command takes, in flag order."""
+    """(name, dest, flags, keywords, required) of each field the command
+    takes, in flag order."""
     for token in f"{_SUBCOMMANDS[command][2]} {_COMMON}".split():
         name = token.rstrip("!")
         flags, kw = _FIELDS[name]
-        yield kw.get("dest", name), flags, kw, token != name
+        yield name, kw.get("dest", name), flags, kw, token != name
 
 
 def _config_kind(kw: dict) -> type:
@@ -527,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        for dest, flags, kw, _ in _command_fields(command):
+        for _, dest, flags, kw, _ in _command_fields(command):
             sp.add_argument(*flags, **{**kw, "dest": dest})
     return parser
 
@@ -539,9 +547,10 @@ _KIND_NAMES = {int: "an integer", str: "a string", list: "a list of strings", bo
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The flags merged over the config file and the defaults.  Refuses every usage
-    error before the handler runs, but those found parsing a list, poly or beta."""
-    fields = {dest: (kw, required) for dest, _, kw, required in _command_fields(args.command)}
+    """The flags merged over the config file and the defaults, as the report
+    echoes them.  Refuses every usage error but the parse errors, which
+    _parsed refuses next, before the handler runs."""
+    fields = {dest: (kw, required) for _, dest, _, kw, required in _command_fields(args.command)}
     cfg = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
     path = getattr(args, "config", None)
     if path:
@@ -600,6 +609,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _parsed(command: str, cfg: dict) -> dict:
+    """cfg with each set field of _PARSERS parsed, in flag order: what the
+    handler reads.  cfg itself keeps the strings that the report echoes."""
+    values = dict(cfg)
+    for name, dest, *_ in _command_fields(command):
+        if name in _PARSERS and cfg[dest] is not None:
+            values[dest] = _PARSERS[name](cfg[dest])
+    return values
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -608,9 +627,10 @@ def run(argv) -> int:
         return int(e.code) if e.code else 0
     try:
         cfg = _merge_config(args)
+        values = _parsed(args.command, cfg)
         handler = _SUBCOMMANDS[args.command][0]
         start = time.perf_counter()
-        results, checks = handler(cfg)
+        results, checks = handler(values)
         duration = time.perf_counter() - start
         report = {
             "command": args.command,

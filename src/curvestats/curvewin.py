@@ -553,7 +553,11 @@ def gauss_lemma_check(a: int, p: int) -> tuple[int, bool]:
 
 def cor4_exceptional(fs: FieldSpec, ell: int, lengths, mu: int) -> list[int]:
     """#{x0 in [0, p-1-L] : no x in [x0, x0+L) has character index mu}, for
-    each window length L in lengths, from one pass over the field."""
+    each window length L in lengths, from one tiled pass over the field.
+
+    No such window reaches p - 1.  A run of g consecutive x in [0, p-2]
+    without index mu, bounded by hits or by the ends -1 and p - 1, holds
+    max(0, g - L + 1) of them, so the counts are sums over those runs."""
     p = fs.p
     if ell < 2:
         raise ValueError("ell must be at least 2")
@@ -565,13 +569,23 @@ def cor4_exceptional(fs: FieldSpec, ell: int, lengths, mu: int) -> list[int]:
     chi = character(fs, ell)
     if not 0 <= mu < chi.d:
         raise ValueError("mu must be a unity index in [0, d)")
-    hi = p - 2  # windows [x0, x0+L) with x0 <= p-1-L never reach p-1
-    # prefix counts are at most p - 1; the cumsum casts its whole input to
-    # S's dtype, so int32 halves both S and that temporary
-    S = np.zeros(hi + 2, dtype=np.int32 if p < 1 << 31 else np.int64)
-    np.cumsum(char_indices(chi, np.arange(hi + 1, dtype=np.int64)) == mu, out=S[1:])
-    # x0 runs over [0, p-1-L]
-    return [int(np.count_nonzero(S[L:p] == S[: p - L])) for L in lengths]
+    counts = [0] * len(lengths)
+    shortest = min(lengths, default=1)
+    last = -1  # the latest hit, carried across tiles
+
+    def add_runs(gaps: np.ndarray):
+        gaps = gaps[gaps >= shortest]  # shorter runs hold no window
+        for i, L in enumerate(lengths):
+            counts[i] += int(np.maximum(gaps - (L - 1), 0).sum())
+
+    for s, n, buffers in _tiles(p - 1):
+        x = np.add(buffers.iota[:n], s, out=buffers.acc[:n])
+        hits = np.flatnonzero(char_indices(chi, x) == mu) + s
+        if hits.size:
+            add_runs(np.diff(hits, prepend=last) - 1)
+            last = int(hits[-1])
+    add_runs(np.array([p - 2 - last], dtype=np.int64))
+    return counts
 
 
 # ---------------------------------------------------------------- experiments

@@ -393,6 +393,61 @@ def test_bad_request_exits_2_before_the_handler(argv, config, err, monkeypatch, 
     assert out.out == ""
 
 
+_P8 = {**REQUIRED["phi"], "--p": "8"}
+_CENSUS8 = {**REQUIRED["census"], "--p": "8"}
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (_argv("phi", _P8) + ["--poly", "1"], None, "this command takes exactly one 'poly'"),
+    (_argv("restricted", {**REQUIRED["restricted"], "--p": "8", "--poly": "0,x"}), None,
+     "polynomial '0,x' is not a comma-separated integer list"),
+    (_argv("joint", _P8) + ["--poly", "1,y"], None,
+     "polynomial '1,y' is not a comma-separated integer list"),
+    (_argv("charsum", {**REQUIRED["charsum"], "--p": "8"}) + ["--poly", "1"], None,
+     "this command takes exactly one 'poly'"),
+    (_argv("census", {**_CENSUS8, "--offsets": "x"}), None,
+     "field 'offsets' is not an integer list"),
+    (_argv("census", _CENSUS8) + ["--v", "0,y"], None, "field 'v' is not an integer list"),
+    (_argv("shifted", {**REQUIRED["shifted"], "--p": "8", "--offsets": "0,"}), None,
+     "field 'offsets' is not an integer list"),
+    (_argv("beta", {**REQUIRED["beta"], "--p": "8", "--beta": "1/0"}), None,
+     "beta '1/0' is not a rational number"),
+    (_argv("gaps", {**REQUIRED["gaps"], "--p": "8", "--window": "3,x"}), None,
+     "field 'window' is not an integer list"),
+    (["gaps", "--p", "8", "--ell", "2", "--mu", "1"], {"window": "3,x"},
+     "field 'window' is not an integer list"),
+    (["verify", "--only", "1,z"], None, "field 'only' is not an integer list"),
+])
+def test_parse_error_exits_2_before_p_is_checked(argv, config, err, tmp_path, capsys):
+    # the handlers would refuse p = 8 as a validation failure (exit 1)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert cli.run(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"usage error: {err}\n"
+    assert out.out == ""
+
+
+def test_parsed_fields_reach_the_handler_and_the_report_echoes_strings(monkeypatch, capsys):
+    seen = {}
+
+    def handler(cfg):
+        seen.update(cfg)
+        return {}, []
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "census", (handler, *cli._SUBCOMMANDS["census"][1:]))
+    argv = _argv("census", {**REQUIRED["census"], "--offsets": "0,2"}) + ["--poly", "1,0,1"]
+    code, payload, _ = run_json(capsys, argv)
+    assert code == 0
+    assert seen["poly"] == [[0, 1], [1, 0, 1]]
+    assert seen["offsets"] == [0, 2] and seen["v"] == [[0]]
+    config = payload["report"]["config"]
+    assert config["poly"] == ["0,1", "1,0,1"]
+    assert config["offsets"] == "0,2" and config["v"] == ["0"]
+
+
 def test_failed_job_keeps_an_existing_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_bytes(b"an earlier report\n")

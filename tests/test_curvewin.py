@@ -930,6 +930,74 @@ def test_cor4_indexes_the_field_once_for_all_lengths(monkeypatch):
         assert got == [_cor4_brute(chi, p, L, mu) for L in lengths]
 
 
+def _cor4_prefix(chi, p, lengths, mu):
+    """The whole-field count: prefix sums of the hits over [0, p-2], and a
+    window [x0, x0+L) is empty where the sums at its two ends agree."""
+    S = np.zeros(p, dtype=np.int64)
+    np.cumsum(char_indices(chi, np.arange(p - 1, dtype=np.int64)) == mu, out=S[1:])
+    return [int(np.count_nonzero(S[L:p] == S[: p - L])) for L in lengths]
+
+
+_COR4_CASES = [
+    (p, ell)
+    for p in (29, 31, 37, 61, 101, 1009)
+    for ell in (2, 3, 5)
+    if (p - 1) % ell == 0
+]
+
+
+@pytest.mark.parametrize("tables", [True, False])
+@pytest.mark.parametrize("tile", [6, 7, 64])
+def test_cor4_tiled_count_matches_prefix_sums(tile, tables, monkeypatch):
+    # the runs between hits carried across short tiles, against the
+    # whole-field prefix sums; tiles of 6 end exactly at p - 1 = 36 and
+    # tiles of 7 at p - 1 = 28.  Without tables, indices come from the
+    # power map.
+    character = ffield.character
+    if not tables:
+        monkeypatch.setattr(ffield, "_TABLE_LIMIT", 16)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", tile)
+    sizes = []
+
+    def spy(chi, xs):
+        sizes.append(len(xs))
+        return index(chi, xs)
+
+    index = curvewin.char_indices
+    monkeypatch.setattr(curvewin, "char_indices", spy)
+    character.cache_clear()
+    try:
+        for p, ell in _COR4_CASES:
+            fs = _field(p)
+            chi = character(fs, ell)
+            assert (chi.table is not None) == tables
+            lengths = [L for L in (1, 2, tile + 1, p - 1, p) if L <= p]
+            for mu in range(chi.d):
+                sizes.clear()
+                got = cor4_exceptional(fs, ell, lengths, mu)
+                assert sum(sizes) == p - 1 and max(sizes) <= tile
+                assert got == _cor4_prefix(chi, p, lengths, mu), (p, ell, mu)
+    finally:
+        character.cache_clear()
+
+
+def test_cor4_memory_is_one_tile():
+    # the index table is built by a first call; a second call holds one
+    # tile's work arrays, not arrays over the whole field (about 13 bytes
+    # per element, 12.4 MB here)
+    import tracemalloc
+
+    fs = _field(1000003)
+    cor4_exceptional(fs, 2, [10], 1)
+    tracemalloc.start()
+    try:
+        cor4_exceptional(fs, 2, [10, 20, 40, 80], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_cor4_validation():
     fs = _field(7)
     with pytest.raises(HypothesisError) as exc:
