@@ -33,6 +33,7 @@ from .ffield import (
     character,
     legendre,
     pow_mod_vec,
+    root_counts,
 )
 from .parallel import run_blocks
 from .polyff import Poly, admissible, multiplicatively_independent, x_poly
@@ -277,28 +278,21 @@ def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None)
     character's index dtype: int8 for d < 128, else int32.  P(x) is
     evaluated in buffers when given; the result is always a fresh array.
 
-    For p <= 2**24 the sizes are one lookup of P(x) in the character's
-    fiber-size table (built by the first call); above that they come from
-    the character indices of P(x) by the power map."""
+    The sizes are root_counts of the values P(x): for p <= 2**24, d times
+    the bit of P(x) in the character's bitmap of d-th powers (built by
+    the first call), and 1 where P(x) = 0; above that, from the character
+    indices of P(x) by the power map."""
     if buffers is None:
-        values = C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64))
-    else:
-        values = buffers.values(C.P, lo, max(0, hi - lo + 1))
-    table = C.chi.fiber_sizes
-    if table is not None:
-        return table.take(values)
-    idx = char_indices(C.chi, values)
-    # index 0 (a nonzero d-th power) has d points, -1 (P(x) = 0) one, others none
-    sizes = np.zeros(C.chi.d + 1, dtype=idx.dtype)
-    sizes[0], sizes[-1] = C.chi.d, 1
-    return sizes.take(idx)
+        return root_counts(C.chi, C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64)))
+    n = max(0, hi - lo + 1)
+    return root_counts(C.chi, buffers.values(C.P, lo, n), q=buffers.q[:n])
 
 
 def _fiber_values(C: Curve):
-    """The scan value function of C's fiber sizes.  It reads C's
-    fiber-size table here, so that the table is built before a scan
+    """The scan value function of C's fiber sizes.  It reads C's bitmap
+    of d-th powers here, so that the bitmap is built before a scan
     starts its workers, which then only read it."""
-    C.chi.fiber_sizes
+    C.chi.power_bits
     return lambda lo, hi, buffers: fiber_array(C, lo, hi, buffers)
 
 

@@ -27,17 +27,18 @@ __all__ = [
     "char_index",
     "char_indices",
     "char_index_table",
-    "fiber_size_table",
+    "power_bitmap",
+    "root_counts",
     "legendre",
 ]
 
 # Largest modulus for which (p-1)^2 still fits in a signed 64-bit product.
 _INT64_MOD_LIMIT = 3_037_000_499
 
-# Largest modulus with per-character tables: the index table and the
-# fiber-size table. Each takes p bytes (int8, d < 128) or 4p bytes (int32),
-# so at most 16 MB or 64 MB apiece, and a character builds either only
-# when it is first read.
+# Largest modulus with per-character tables: the index table, which takes
+# p bytes (int8, d < 128) or 4p bytes (int32), so at most 16 MB or 64 MB,
+# and the bitmap of d-th powers, which takes p / 8 bytes (2 MB).  A
+# character builds either only when it is first read.
 _TABLE_LIMIT = 1 << 24
 
 # Sufficient deterministic Miller-Rabin witness set for all n < 3.3 * 10^24,
@@ -201,10 +202,11 @@ class Character:
     match_table[k] = g^(k * (p-1)/d); the character maps g^n to index n mod d.
     The induced value at x is located by matching x^((p-1)/d) against
     match_table (index_of maps each entry back to k), and is zero when p
-    divides x.  For p <= 2**24 the character also carries two lookup
-    tables over [0, p), each built on first read and read-only after:
-    table (char_index_table) and fiber_sizes (fiber_size_table); for
-    larger p both are None.
+    divides x.  For p <= 2**24 the character also carries two lookups
+    over [0, p), each built on first read and read-only after: table
+    (char_index_table), one index per element, and power_bits
+    (power_bitmap), one bit per element, set at the nonzero d-th powers;
+    for larger p both are None.
     """
 
     field: FieldSpec
@@ -220,9 +222,9 @@ class Character:
         return _frozen(char_index_table(self)) if self.field.p <= _TABLE_LIMIT else None
 
     @functools.cached_property
-    def fiber_sizes(self) -> np.ndarray | None:
-        """fiber_size_table(self), built on first read; None for p > 2**24."""
-        return _frozen(fiber_size_table(self)) if self.field.p <= _TABLE_LIMIT else None
+    def power_bits(self) -> np.ndarray | None:
+        """power_bitmap(self), built on first read; None for p > 2**24."""
+        return _frozen(power_bitmap(self)) if self.field.p <= _TABLE_LIMIT else None
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -231,10 +233,10 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 
 # Each cached Character holds its tables, so the cache bounds them with
-# no cache of its own: up to 64 MB apiece (see _TABLE_LIMIT), 128 MB for
-# a character both scanned and indexed, and 512 MB for the four entries
-# in the worst case (d >= 128, p near 2**24; one such character raised
-# peak RSS by 128.5 MB).  A CLI command uses one character; verify's
+# no cache of its own: up to 64 MB for the index table and 2 MB for the
+# bitmap (see _TABLE_LIMIT), 66 MB for a character both scanned and
+# indexed, and 4 x 66 = 264 MB for the four entries in the worst case
+# (d >= 128, p near 2**24).  A CLI command uses one character; verify's
 # criterion 5 cycles through three, and other criteria through many
 # small ones that are cheap to rebuild.
 @functools.lru_cache(maxsize=4)
@@ -378,26 +380,57 @@ def char_index_table(chi: Character) -> np.ndarray:
     return table
 
 
-def fiber_size_table(chi: Character) -> np.ndarray:
-    """#{y in F_p : y^ell = x} for x in [0, p): d at the nonzero d-th
-    powers, 1 at x = 0 and 0 elsewhere, in the index table's dtype.
+def power_bitmap(chi: Character) -> np.ndarray:
+    """The nonzero d-th powers in [0, p) as a packed bitmap: (p + 7) // 8
+    uint8 bytes, in which bit x & 7 of byte x >> 3 is set exactly when x
+    is a nonzero d-th power.  The fiber size #{y : y^ell = x} is d times
+    that bit, except at x = 0, where it is 1.
 
     The nonzero d-th powers are the (p-1)/d powers of g^d, walked in
-    blocks (_power_blocks) like the generator in char_index_table;
-    refused for p > 2**24 to bound memory.
+    blocks (_power_blocks) like the generator in char_index_table; each
+    occurs once in the walk, so adding its bit into its byte sets it.
+    Refused for p > 2**24 like the index table.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
-        raise ValueError("fiber-size table only supported for p <= 2**24")
+        raise ValueError("power bitmap only supported for p <= 2**24")
     d = chi.d
     n = (p - 1) // d
-    table = np.zeros(p, dtype=_index_dtype(d))
-    table[0] = 1
+    bits = np.zeros((p + 7) // 8, dtype=np.uint8)
     block = min(16384, n)
     offsets = np.arange(block, dtype=np.int64)
     for _, vals in _power_blocks(pow(chi.field.g, d, p), n, p, offsets, block):
-        table[vals] = d
-    return table
+        np.add.at(bits, vals >> 3, np.left_shift(1, vals & 7).astype(np.uint8))
+    return bits
+
+
+def root_counts(chi: Character, values: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """#{y in F_p : y^ell = v} for int64 values v in [0, p): d at the
+    nonzero d-th powers, 1 at v = 0 and 0 elsewhere, as a fresh array in
+    the index table's dtype (int8 for d < 128, else int32).
+
+    For p <= 2**24 the counts are d times v's bit in chi.power_bits, which
+    the first call builds, with v = 0 patched to 1; q, an int64 array of
+    values' shape, receives the byte offsets v >> 3 when given.  Larger p
+    use the character indices by the power map.
+    """
+    bits = chi.power_bits
+    if bits is None:
+        idx = char_indices(chi, values)
+        # index 0 (a nonzero d-th power) has d roots, -1 (v = 0) one, others none
+        counts = np.zeros(chi.d + 1, dtype=idx.dtype)
+        counts[0], counts[-1] = chi.d, 1
+        return counts.take(idx)
+    found = bits.take(np.right_shift(values, 3, out=q))
+    shifts = np.bitwise_and(values, 7, out=np.empty(values.shape, np.uint8), casting="unsafe")
+    np.right_shift(found, shifts, out=found)
+    found &= 1
+    # the 0/1 bytes as int8 counts in place, or widened to int32 for d >= 128
+    counts = found.view(np.int8).astype(_index_dtype(chi.d), copy=False)
+    counts *= chi.d
+    if values.min(initial=1) == 0:
+        counts[values == 0] = 1
+    return counts
 
 
 def legendre(a: int, p: int) -> int:

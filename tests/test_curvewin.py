@@ -157,7 +157,7 @@ def test_window_counts_thread_invariance():
 def _count_table_builds(monkeypatch) -> list:
     """Record (kind, p, thread id) for each character table built."""
     builds = []
-    for kind, name in (("fibers", "fiber_size_table"), ("index", "char_index_table")):
+    for kind, name in (("bits", "power_bitmap"), ("index", "char_index_table")):
         build = getattr(ffield, name)
 
         def counted(chi, kind=kind, build=build):
@@ -169,9 +169,9 @@ def _count_table_builds(monkeypatch) -> list:
 
 
 def test_threads_build_one_table(monkeypatch):
-    # a scan reads its fiber-size table before it starts a worker, so the
-    # table is built once, on the calling thread, and the workers only read
-    # it; the scan never builds an index table
+    # a scan reads its bitmap of d-th powers before it starts a worker, so
+    # the bitmap is built once, on the calling thread, and the workers only
+    # read it; the scan never builds an index table
     fs = _field(100003)
     spec = ScanSpec(0, fs.p - 100, 50)
     Ps = [poly([1, 1, 0, 1], fs.p), poly([2, 0, 1], fs.p)]
@@ -190,20 +190,21 @@ def test_threads_build_one_table(monkeypatch):
             assert builds == []
             got = scan(Cs)
             assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
-            assert builds == [("fibers", fs.p, here)]
+            assert builds == [("bits", fs.p, here)]
 
 
 def test_degenerate_scans_on_the_table_path(monkeypatch):
-    # m = 1, I = 0, scan_len = 1 and p = 3, with the character's fiber-size
-    # table in use: the scans never reach the character indices
-    monkeypatch.setattr(curvewin, "char_indices", lambda *a: pytest.fail("power map used"))
+    # m = 1, I = 0, scan_len = 1 and p = 3, with the character's bitmap of
+    # d-th powers in use: the scans never reach the character indices
+    for module in (curvewin, ffield):
+        monkeypatch.setattr(module, "char_indices", lambda *a: pytest.fail("power map used"))
     rng = np.random.default_rng(3030)
     for _ in range(60):
         p = int(rng.choice([3, 5, 7, 13, 10009]))
         fs = _field(p)
         C = curve(fs, int(rng.choice([2, 3, 4])), _random_poly(rng, p, 3))
         fib = fiber_array(C, 0, p - 1)
-        assert C.chi.fiber_sizes is not None
+        assert C.chi.power_bits is not None
         if p < 100:
             assert fib.tolist() == [fiber_count(C, x) for x in range(p)]
         I = 0 if rng.random() < 0.5 else int(rng.integers(0, p))
@@ -223,25 +224,109 @@ def test_degenerate_scans_on_the_table_path(monkeypatch):
     (11, 3), (40009, 5),  # d = 1: every x is an ell-th power, once
     (40009, 4), (40009, 2),  # (p - 1) / d above one walk block
     (257, 256), (40009, 40008),  # d >= 128: int32 sizes
+    (17, 4), (19, 3), (29, 2), (23, 2), (7, 3),  # p = 1, 3, 5, 7 and 7 mod 8
 ])
 def test_fiber_size_table_matches_oracles(p, ell):
+    # the bitmap of d-th powers against exhaustive root counts: its bits,
+    # the sizes d * bit + [x = 0], and fiber_array over the whole field;
+    # p is odd, so the bitmap's last byte is partial and its padding bits
+    # stay clear
     fs = _field(p)
     ffield.character.cache_clear()
     chi = ffield.character(fs, ell)
-    table = ffield.fiber_size_table(chi)
-    assert table.dtype == (np.int8 if chi.d < 128 else np.int32)
-    assert table.shape == (p,)
+    d = chi.d
+    bitmap = ffield.power_bitmap(chi)
+    assert bitmap.dtype == np.uint8 and bitmap.shape == ((p + 7) // 8,)
+    bits = np.unpackbits(bitmap, bitorder="little")
+    assert not bits[p:].any()
+    bits = bits[:p].astype(np.int64)
+    xs = np.arange(p, dtype=np.int64)
     # criterion 1's oracle: the number of y with y^ell = x, for every x
-    roots = np.bincount(ffield.pow_mod_vec(np.arange(p, dtype=np.int64), ell, p), minlength=p)
-    assert np.array_equal(table, roots)
+    roots = np.bincount(ffield.pow_mod_vec(xs, ell, p), minlength=p)
+    assert np.array_equal(bits, (roots == d) & (xs != 0))
+    sizes = d * bits
+    sizes[0] += 1
+    assert np.array_equal(sizes, roots)
     C = curve(fs, ell, x_poly(p))
-    xs = range(p) if p < 300 else np.random.default_rng(p).integers(0, p, 300).tolist()
-    for x in [0, 1, p - 1, *xs]:
-        assert table[x] == fiber_count(C, x)
-    assert "fiber_sizes" not in vars(chi)
-    assert not chi.fiber_sizes.flags.writeable
-    assert np.array_equal(chi.fiber_sizes, table)
-    assert np.array_equal(fiber_array(C, 0, p - 1), table)
+    probes = range(p) if p < 300 else np.random.default_rng(p).integers(0, p, 300).tolist()
+    for x in [0, 1, p - 1, *probes]:
+        assert sizes[x] == fiber_count(C, x)
+    assert "power_bits" not in vars(chi)
+    assert not chi.power_bits.flags.writeable
+    assert np.array_equal(chi.power_bits, bitmap)
+    q = np.empty_like(xs)
+    for got in (fiber_array(C, 0, p - 1), ffield.root_counts(chi, xs, q)):
+        assert got.dtype == (np.int8 if d < 128 else np.int32)
+        assert np.array_equal(got, roots)
+
+
+@pytest.mark.parametrize("p, ell", [(10007, 2), (10009, 4), (257, 256)])
+def test_fiber_array_patches_the_roots_of_p(p, ell):
+    # P(x) = 0 reads the clear bit of 0 and is patched to 1: roots at a
+    # tile's first and last positions, several roots inside it, and a
+    # tile without roots, with and without the tile buffers
+    fs = _field(p)
+    rng = np.random.default_rng(p + ell)
+    for _ in range(4):
+        lo, hi = sorted(int(x) for x in rng.choice(range(1, p - 1), 2, replace=False))
+        inner = [int(x) for x in rng.integers(lo, hi + 1, 3)]
+        for roots in ([lo], [hi], [lo, hi], [lo, *inner, hi], [lo - 1, hi + 1]):
+            P = poly([int(rng.integers(1, p))], p)  # a nonzero constant
+            for r in roots:
+                P = P * poly([-r, 1], p)
+            C = curve(fs, ell, P)
+            want = [fiber_count(C, x) for x in range(lo, hi + 1)]
+            buffers = curvewin._TileBuffers(np.arange(hi - lo + 1, dtype=np.int64))
+            for got in (fiber_array(C, lo, hi), fiber_array(C, lo, hi, buffers)):
+                assert got.dtype == (np.int8 if C.chi.d < 128 else np.int32)
+                assert got.tolist() == want
+
+
+def test_bitmap_at_the_top_of_the_table_range():
+    # the largest prime below 2^24 builds its bitmap (2 MB; its last byte
+    # holds 5 bits), and the sizes over the field's last 2000 x match the
+    # power map; the first prime past 2^24 refuses the bitmap
+    ffield.character.cache_clear()
+    try:
+        p = 16777213
+        fs = _field(p)
+        for P in (x_poly(p), poly([1, 1, 0, 1], p)):
+            C = curve(fs, 2, P)
+            got = fiber_array(C, p - 2000, p - 1)
+            idx = ffield._char_indices_pow(C.chi, P.eval_vec(np.arange(p - 2000, p)))
+            want = np.where(idx == 0, 2, 0) + (idx == -1)
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+        assert C.chi.power_bits.nbytes == (p + 7) // 8
+        big = ffield.character(_field(16777259), 2)
+        with pytest.raises(ValueError, match="2\\*\\*24"):
+            ffield.power_bitmap(big)
+        assert big.power_bits is None
+    finally:
+        ffield.character.cache_clear()
+
+
+def test_first_scan_holds_the_bitmap_not_a_byte_table():
+    # a first scan at p = 10000019 builds the character's bitmap inside the
+    # call: p / 8 bytes (1.25 MB) beside one tile's work arrays, where a
+    # byte table of fiber sizes took p bytes (11.6 MiB peak)
+    import tracemalloc
+
+    p = 10000019
+    fs = _field(p)
+    ffield.character.cache_clear()
+    try:
+        C = curve(fs, 2, poly([1, 1, 0, 1], p))
+        assert "power_bits" not in vars(C.chi)
+        tracemalloc.start()
+        try:
+            joint_histogram([C], ScanSpec(0, 2**17, 50), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.chi.power_bits.nbytes == (p + 7) // 8
+        assert peak < 5 << 20
+    finally:
+        ffield.character.cache_clear()
 
 
 def test_scan_past_the_table_limit_uses_the_power_map(monkeypatch):
@@ -256,12 +341,12 @@ def test_scan_past_the_table_limit_uses_the_power_map(monkeypatch):
         return pow_path(chi, xs)
 
     monkeypatch.setattr(ffield, "_char_indices_pow", counted)
-    for name in ("fiber_size_table", "char_index_table"):
+    for name in ("power_bitmap", "char_index_table"):
         monkeypatch.setattr(ffield, name, lambda chi: pytest.fail("table built"))
     C = curve(_field(p), 2, poly([1, 1, 0, 1], p))
     x0 = p // 3
     fib = fiber_array(C, x0, x0 + 399)
-    assert C.chi.fiber_sizes is None and calls == [400]
+    assert C.chi.power_bits is None and calls == [400]
     assert fib.tolist() == [fiber_count(C, x) for x in range(x0, x0 + 400)]
     spec = ScanSpec(x0, 300, 50)
     direct = window_counts_direct(C, spec)

@@ -278,7 +278,7 @@ def test_char_index_table_matches_oracles(p, ell):
     # character() builds no table, and the first read of chi.table does
     character.cache_clear()
     chi = character(FieldSpec.from_prime(p), ell)
-    assert "table" not in vars(chi) and "fiber_sizes" not in vars(chi)
+    assert "table" not in vars(chi) and "power_bits" not in vars(chi)
     table = char_index_table(chi)
     want = ffield._char_indices_pow(chi, np.arange(p, dtype=np.int64))
     assert table.dtype == want.dtype == (np.int8 if chi.d < 128 else np.int32)
@@ -286,7 +286,7 @@ def test_char_index_table_matches_oracles(p, ell):
     assert np.array_equal(table, want)
     assert not chi.table.flags.writeable
     assert np.array_equal(chi.table, table)
-    assert "fiber_sizes" not in vars(chi)
+    assert "power_bits" not in vars(chi)
     g, d = chi.field.g, chi.d
     probes = {0, 1, p - 1}
     probes |= {pow(g, j, p) for j in range(min(d, 20))}
@@ -348,7 +348,7 @@ def test_char_indices_without_table(p, dtype, monkeypatch):
         calls.append(len(xs))
         return pow_path(chi, xs)
 
-    for name in ("char_index_table", "fiber_size_table"):
+    for name in ("char_index_table", "power_bitmap"):
         monkeypatch.setattr(ffield, name, lambda chi: pytest.fail("table built"))
     monkeypatch.setattr(ffield, "_char_indices_pow", counted)
     character.cache_clear()
@@ -360,7 +360,7 @@ def test_char_indices_without_table(p, dtype, monkeypatch):
     for i in np.linspace(0, n - 1, 10).astype(np.int64):
         assert got[i] == char_index(chi, int(xs[i]))
     if p > 1 << 24:
-        assert chi.table is None and chi.fiber_sizes is None
+        assert chi.table is None and chi.power_bits is None
     else:
         assert "table" not in vars(chi)
 
@@ -389,7 +389,7 @@ def test_char_index_table_rejects_large_p():
     while not is_prime(p):
         p += 2
     chi = character(FieldSpec.from_prime(p), 2)
-    for build in (char_index_table, ffield.fiber_size_table):
+    for build in (char_index_table, ffield.power_bitmap):
         with pytest.raises(ValueError):
             build(chi)
 
