@@ -31,8 +31,8 @@ for L, n in zip(lengths, cor4_exceptional(fs, 2, lengths, 1)):
 
 # beta scan: count x whose square roots reach only up to beta * p
 fs = FieldSpec.from_prime(10007)
-scan = beta_residue_scan(fs, Fraction(1, 4), ScanSpec(0, 9907, 100), m=2)
+scan = beta_residue_scan(fs, Fraction(1, 4), ScanSpec(0, 9907, 100), m=3)
 print(f"beta = 1/4 scan over F_{fs.p}: y range [1, {scan.y_max}]")
-print(f"  mean beta-residues per window of 100: {scan.r_counts.mean():.2f}")
-print(f"  R + N = I everywhere: {bool((scan.r_counts + scan.n_counts == 100).all())}")
-print(f"  residue tallies mod 2: {scan.r_hist.counts}")
+print(f"  {scan.positions} windows of 100, tallied mod 3")
+print(f"  beta-residues R:           {scan.r_hist.counts}")
+print(f"  nonresidues N = 100 - R:   {scan.n_hist.counts}")

@@ -333,10 +333,17 @@ def criterion_9(threads: int = 1) -> tuple[bool, str]:
 
 @_criterion(10, "beta partition")
 def criterion_10(threads: int = 1) -> tuple[bool, str]:
-    """Beta-residue windows partition, and the one-y condition splits at p/2."""
+    """Beta-residue windows partition, and the one-y condition splits at p/2.
+
+    The scan's residue and nonresidue histograms mod 3 must equal those of
+    R and I - R counted by brute force from the squares of 1, ..., p // 2."""
     primes = [q for q in _odd_primes_upto(80) if q >= 5][:20]
     if len(primes) < 20:
         return False, "prime list too short"
+
+    def tally(values) -> tuple[int, ...]:
+        return tuple(sum(v % 3 == a for v in values) for a in range(3))
+
     for p in primes:
         fs = FieldSpec.from_prime(p)
         C = curve(fs, 2, x_poly(p))
@@ -345,8 +352,10 @@ def criterion_10(threads: int = 1) -> tuple[bool, str]:
         if condition_star(C, Rect(0, p - 1, 0, p - 1)):
             return False, f"full interval accepted at p={p}"
         I = 2 if p < 23 else 10
-        scan = beta_residue_scan(fs, Fraction(1, 2), ScanSpec(0, p - I, I))
-        if not np.all(scan.r_counts + scan.n_counts == I):
+        scan = beta_residue_scan(fs, Fraction(1, 2), ScanSpec(0, p - I, I), m=3, threads=threads)
+        squares = {y * y % p for y in range(1, p // 2 + 1)}
+        r = [sum(x in squares for x in range(x0 + 1, x0 + I + 1)) for x0 in range(p - I)]
+        if scan.r_hist.counts != tally(r) or scan.n_hist.counts != tally([I - v for v in r]):
             return False, f"partition failed at p={p}"
     return True, "20 primes: partition exact, condition split at p/2"
 

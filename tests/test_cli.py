@@ -533,6 +533,18 @@ def test_threads_below_one_exit_2(threads, tmp_path, capsys):
     assert f"threads must be at least 1, not {threads}" in capsys.readouterr().err
 
 
+def test_threads_refused_where_nothing_reads_it(tmp_path, capsys):
+    # gaps and charsum run on the calling thread, so they take no --threads
+    assert cli.run(["gaps", "--p", "13", "--ell", "2", "--mu", "1", "--window", "3",
+                    "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert cli.run(["charsum", "--p", "13", "--ell", "2", "--poly", "1,0,1",
+                    "--config", str(cfg)]) == 2
+    assert "unknown config field 'threads' for command 'charsum'" in capsys.readouterr().err
+
+
 def test_canonical_json_is_sorted_and_compact():
     text = cli.canonical_json({"b": 1, "a": [1, 2]})
     assert text == '{"a":[1,2],"b":1}'
@@ -555,16 +567,17 @@ _RECT = [
     ("y_lo", ["--y-lo"], int), ("y_hi", ["--y-hi"], int),
 ]
 _MODEL = [("blocks", ["--blocks"], int), ("trials", ["--trials"], int), ("seed", ["--seed"], int)]
-_COMMON = [
-    ("config", ["--config"], str), ("threads", ["--threads"], int),
-    ("format", ["--format"], str), ("out", ["--out"], str),
-]
+# only the subcommands that fan work out to threads take --threads
+_THREADS = [("threads", ["--threads"], int)]
+_COMMON = [("config", ["--config"], str), ("format", ["--format"], str), ("out", ["--out"], str)]
 PINNED_FIELDS = {
-    "phi": _SCAN + _POLY + _MODEL + _COMMON,
-    "joint": _SCAN + _POLY + _MODEL + _COMMON,
-    "restricted": _SCAN + _POLY + _RECT + _MODEL + _COMMON,
-    "beta": _SCAN[:1] + _SCAN[2:4] + _SCAN[5:] + [("beta", ["--beta"], str)] + _COMMON,
-    "walk": _SCAN[1:3] + [("block", ["--block", "-L"], int)] + _MODEL[1:] + _COMMON,
+    "phi": _SCAN + _POLY + _MODEL + _THREADS + _COMMON,
+    "joint": _SCAN + _POLY + _MODEL + _THREADS + _COMMON,
+    "restricted": _SCAN + _POLY + _RECT + _MODEL + _THREADS + _COMMON,
+    "beta": (
+        _SCAN[:1] + _SCAN[2:4] + _SCAN[5:] + [("beta", ["--beta"], str)] + _THREADS + _COMMON
+    ),
+    "walk": _SCAN[1:3] + [("block", ["--block", "-L"], int)] + _MODEL[1:] + _THREADS + _COMMON,
     "prop21": [("part", ["--part"], str)] + _SCAN[1:3] + [("block", ["--block", "-L"], int),
                ("k", ["--k"], int)] + _COMMON,
     "charsum": _SCAN[:2] + _POLY + [("lo", ["--lo"], int), ("hi", ["--hi"], int)] + _COMMON,
@@ -578,7 +591,7 @@ PINNED_FIELDS = {
     ] + _COMMON,
     "gauss": [("p", ["--p"], int), ("a", ["--a"], int)] + _COMMON,
     "gaps": _SCAN[:2] + [("mu", ["--mu"], int), ("window", ["--window", "-L"], str)] + _COMMON,
-    "verify": [("only", ["--only"], str)] + _COMMON,
+    "verify": [("only", ["--only"], str)] + _THREADS + _COMMON,
 }
 CHOICES = {"part": ["a", "b", "c"], "format": ["json", "csv"]}
 # the argparse action each kind is stored through, and its type

@@ -6,6 +6,8 @@ force over y.  Frozen experiment values are regression pins computed by
 this module once and checked exactly thereafter.
 """
 
+import dataclasses
+import itertools
 import math
 import threading
 from collections import Counter
@@ -892,29 +894,63 @@ def test_tally_scan_at_the_benchmark_field():
 # ---------------------------------------------------------------- beta residues
 
 
+def _beta_brute(p, y_max, x_start, scan_len, I):
+    """R per window, from the squares of 1, ..., y_max."""
+    squares = {y * y % p for y in range(1, y_max + 1)}
+    return np.array(
+        [sum(x in squares for x in range(x0 + 1, x0 + I + 1))
+         for x0 in range(x_start, x_start + scan_len)],
+        dtype=np.int64,
+    )
+
+
 def test_beta_example_f7():
+    # y in [1, 3] squares to {1, 4, 2}, so the window (0, 3] holds R = 2, N = 1;
+    # a modulus above I reads R and N themselves
     fs = _field(7)
-    scan = beta_residue_scan(fs, Fraction(3, 7), ScanSpec(0, 1, 3))
-    assert scan.y_max == 3
-    assert scan.r_counts.tolist() == [2]
-    assert scan.n_counts.tolist() == [1]
+    scan = beta_residue_scan(fs, Fraction(3, 7), ScanSpec(0, 1, 3), m=4)
+    assert (scan.y_max, scan.positions) == (3, 1)
+    assert scan.r_hist.counts == (0, 0, 1, 0)
+    assert scan.n_hist.counts == (0, 1, 0, 0)
+    assert [f.name for f in dataclasses.fields(BetaScan)] == [
+        "beta", "y_max", "positions", "r_hist", "n_hist",
+    ]
 
 
-def test_beta_partition_and_half_case():
-    for p in (31, 103):
+def test_beta_partition_and_half_case(monkeypatch):
+    # R and N = I - R against brute force, in 7-window tiles so that each
+    # scan spans several, at 1 and 2 threads; I = 6, 7, 8, 10 is 0, 1, 2
+    # and 1 mod 3 and 1, 2, 3 and 0 mod 5, and m = I + 1 reads R itself
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    for threads, p in itertools.product((1, 2), (31, 103)):
         fs = _field(p)
-        I = 7
-        spec = ScanSpec(0, p - I, I)
-        scan = beta_residue_scan(fs, Fraction(1, 2), spec, m=3)
-        assert np.all(scan.r_counts + scan.n_counts == I)
-        assert scan.r_hist.total == p - I and scan.n_hist.total == p - I
-        # beta = 1/2 counts classical nonzero quadratic residues per window
-        qrs = {x for x in range(1, p) if legendre(x, p) == 1}
-        brute = [
-            sum(1 for x in range(x0 + 1, x0 + I + 1) if x in qrs)
-            for x0 in range(p - I)
-        ]
-        assert scan.r_counts.tolist() == brute
+        for beta in (Fraction(1, 2), Fraction(1, 3)):
+            y_max = beta.numerator * p // beta.denominator
+            if beta == Fraction(1, 2):
+                # beta = 1/2 reaches every nonzero quadratic residue
+                squares = {y * y % p for y in range(1, y_max + 1)}
+                assert squares == {x for x in range(1, p) if legendre(x, p) == 1}
+            for I in (6, 7, 8, 10):
+                for spec in (ScanSpec(0, p - I, I), ScanSpec(3, p - I - 9, I)):
+                    r = _beta_brute(p, y_max, spec.x_start, spec.scan_len, I)
+                    for m in (1, 2, 3, 5, I + 1):
+                        scan = beta_residue_scan(fs, beta, spec, m=m, threads=threads)
+                        assert (scan.y_max, scan.positions) == (y_max, spec.scan_len)
+                        assert scan.r_hist == residue_histogram(r, m)
+                        assert scan.n_hist == residue_histogram(I - r, m)
+
+
+def test_beta_without_modulus_runs_no_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scanned without a modulus")
+
+    monkeypatch.setattr(curvewin, "_rect_delta", refuse)
+    monkeypatch.setattr(curvewin, "_tally_scan", refuse)
+    scan = beta_residue_scan(_field(103), Fraction(1, 2), ScanSpec(4, 90, 7))
+    assert (scan.y_max, scan.positions, scan.r_hist, scan.n_hist) == (51, 90, None, None)
+    # the geometry is still checked
+    with pytest.raises(HypothesisError):
+        beta_residue_scan(_field(103), Fraction(1, 2), ScanSpec(4, 93, 7))
 
 
 def test_beta_validation():
@@ -923,6 +959,8 @@ def test_beta_validation():
         beta_residue_scan(fs, Fraction(2, 3), ScanSpec(0, 1, 3))
     with pytest.raises(ValueError):
         beta_residue_scan(fs, Fraction(1, 100), ScanSpec(0, 1, 3))
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        beta_residue_scan(fs, Fraction(1, 2), ScanSpec(0, 1, 3), m=0)
 
 
 # ---------------------------------------------------------------- parity and gaps

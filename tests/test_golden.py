@@ -97,7 +97,12 @@ def test_golden_report(case):
 
 # the scanning cases again, over many short chunks (97 windows, a prime, so
 # chunk edges fall at no window or block boundary)
-SCANS = {"phi": ("phi.json", PHI), "joint": ("joint.json", JOINT), "restricted": CASES["restricted"]}
+SCANS = {
+    "phi": ("phi.json", PHI),
+    "joint": ("joint.json", JOINT),
+    "restricted": CASES["restricted"],
+    "beta": CASES["beta"],
+}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
