@@ -206,7 +206,8 @@ class Character:
     over [0, p), each built on first read and read-only after: table
     (char_index_table), one index per element, and power_bits
     (power_bitmap), one bit per element, set at the nonzero d-th powers;
-    for larger p both are None.
+    for larger p both are None.  An order-2 character reads its indices
+    from power_bits too (char_indices), so it never builds a table.
     """
 
     field: FieldSpec
@@ -236,9 +237,10 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 # no cache of its own: up to 64 MB for the index table and 2 MB for the
 # bitmap (see _TABLE_LIMIT), 66 MB for a character both scanned and
 # indexed, and 4 x 66 = 264 MB for the four entries in the worst case
-# (d >= 128, p near 2**24).  A CLI command uses one character; verify's
-# criterion 5 cycles through three, and other criteria through many
-# small ones that are cheap to rebuild.
+# (d >= 128, p near 2**24).  An order-2 character holds at most its
+# bitmap, 2 MB, since char_indices reads it in place of a table.  A CLI
+# command uses one character; verify's criterion 5 cycles through three,
+# and other criteria through many small ones that are cheap to rebuild.
 @functools.lru_cache(maxsize=4)
 def character(fs: FieldSpec, ell: int) -> Character:
     """The order-gcd(ell, p-1) character sending the generator g to zeta_d.
@@ -281,13 +283,19 @@ def _index_dtype(d: int) -> type:
 def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     """Vectorized char_index; zero values are encoded as -1.
 
-    Integer input is read from the character's index table when it has
-    one (p <= 2**24), which the first such call builds; otherwise the
-    indices come from the power map. Both paths return the table's dtype.
+    Integer input is read from a lookup over [0, p) when the character
+    has one (p <= 2**24), which the first such call builds: for d = 2,
+    the bitmap of squares (power_bits), whose bit gives index 0 where set
+    and 1 where clear; for other d, the index table.  Otherwise the
+    indices come from the power map.  Every path returns the table's
+    dtype.
     """
     p = chi.field.p
     xs = np.asarray(xs)
-    if xs.dtype.kind not in "iu" or chi.table is None:
+    lookup = None
+    if xs.dtype.kind in "iu":
+        lookup = chi.power_bits if chi.d == 2 else chi.table
+    if lookup is None:
         return _char_indices_pow(chi, xs)
     if xs.dtype.itemsize < 8:
         # numpy >= 2 will not take a p above the dtype's range as a scalar
@@ -295,7 +303,14 @@ def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     # one pass checks both ends: negative int64 entries read as uint64 values above p
     if xs.size and int(xs.view(np.uint64).max()) >= p:
         xs = floor_mod(xs, p)
-    return chi.table[xs]
+    if chi.d != 2:
+        return lookup[xs]
+    values = xs.reshape(-1)  # a 0-d take would give a scalar
+    idx = _power_bit(lookup, values).view(np.int8)
+    idx ^= 1
+    if values.min(initial=1) == 0:
+        idx[values == 0] = -1
+    return idx.reshape(xs.shape)
 
 
 def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
@@ -404,6 +419,17 @@ def power_bitmap(chi: Character) -> np.ndarray:
     return bits
 
 
+def _power_bit(bits: np.ndarray, values: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Bit v & 7 of byte v >> 3 of bits for each integer v in values, all
+    in [0, p), as a fresh uint8 array of 0s and 1s; q, an int64 array of
+    values' shape, receives the byte offsets when given."""
+    found = bits.take(np.right_shift(values, 3, out=q))
+    shifts = np.bitwise_and(values, 7, out=np.empty(values.shape, np.uint8), casting="unsafe")
+    np.right_shift(found, shifts, out=found)
+    found &= 1
+    return found
+
+
 def root_counts(chi: Character, values: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     """#{y in F_p : y^ell = v} for int64 values v in [0, p): d at the
     nonzero d-th powers, 1 at v = 0 and 0 elsewhere, as a fresh array in
@@ -421,10 +447,7 @@ def root_counts(chi: Character, values: np.ndarray, q: np.ndarray | None = None)
         counts = np.zeros(chi.d + 1, dtype=idx.dtype)
         counts[0], counts[-1] = chi.d, 1
         return counts.take(idx)
-    found = bits.take(np.right_shift(values, 3, out=q))
-    shifts = np.bitwise_and(values, 7, out=np.empty(values.shape, np.uint8), casting="unsafe")
-    np.right_shift(found, shifts, out=found)
-    found &= 1
+    found = _power_bit(bits, values, q)
     # the 0/1 bytes as int8 counts in place, or widened to int32 for d >= 128
     counts = found.view(np.int8).astype(_index_dtype(chi.d), copy=False)
     counts *= chi.d

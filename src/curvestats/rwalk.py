@@ -17,6 +17,7 @@ from their exact law (a DP over walker-centred counts).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -108,8 +109,12 @@ def _trial_gen(seed: int, trial: int) -> np.random.Generator:
     except AttributeError:
         gen = trial_rng(seed, trial)
         # a fresh generator's state; the setter copies it, so draws never
-        # change it and only its key needs rewriting
+        # change it and only its key needs rewriting.  Its counter, key and
+        # buffer are held as lists of Python ints, which the setter reads
+        # in less than half the time it takes for uint64 arrays
         state = gen.bit_generator.state
+        state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
         _thread_gen.pair = gen, state
     key = state["state"]["key"]
     key[0] = seed & _MASK64
@@ -363,19 +368,29 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
+@functools.lru_cache(maxsize=1)
+def _sampling_law(steps: tuple, m: int, k: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the block model samples for one shape: the float64 (m^k, T)
+    transposed type matrix and the normalised probabilities (T,), both
+    read-only.  One entry serves a run of calls on one shape (criterion
+    9 makes 100) with a single DP; it holds only the float64 copy of the
+    types, whose int64 matrix is freed on return."""
+    types, probs = _block_type_distribution(steps, m, k, L)
+    cells = types.T.astype(np.float64)
+    probs = probs / probs.sum()
+    cells.flags.writeable = probs.flags.writeable = False
+    return cells, probs
+
+
 def _model_core(steps, m, k, L, blocks, trials, seed, threads=1) -> ModelSummary:
     if blocks < 1 or trials < 1 or L < 1 or m < 1:
         raise ValueError("blocks, trials, L, m must all be positive")
     if blocks * L >= 1 << 53:
         raise InfeasibleModelError("blocks * L reaches 2^53, past exact float64 visit sums")
-    types, probs = _block_type_distribution(steps, m, k, L)
-    probs = probs / probs.sum()
+    cells, probs = _sampling_law(steps, m, k, L)
     denom = float(blocks * L)
     target = 1.0 / m**k
 
-    # sampling holds one type matrix, the float64 copy, not two
-    cells = types.T.astype(np.float64)
-    del types
     # the float tail runs once on the stack, and each row sum equals that
     # of the row on its own
     V = _visit_sums(cells, probs, blocks, seed, trials, threads)
@@ -396,10 +411,10 @@ def _steps(a: int, q, m: int, k: int):
     single = {}
     for value, pr in ((a % m, pq), ((-a) % m, pq), (0, 1 - 2 * pq)):
         single[value] = single.get(value, Fraction(0)) + pr
-    return [
+    return tuple(
         (tuple(v for v, _ in combo), math.prod([pr for _, pr in combo], start=Fraction(1)))
         for combo in itertools.product(sorted(single.items()), repeat=k)
-    ]
+    )
 
 
 def model_reference(ell, m, L, blocks, trials, seed, threads: int = 1) -> ModelSummary:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvestats import curvewin
+from curvestats import curvewin, ffield
 from curvestats.charsum import (
     CharSumTally,
     TwistCheck,
@@ -524,3 +524,32 @@ def test_signed_sum_identity_recovers_censored_count():
                 and not any(delta(x + b) for b in B)
             )
             assert signed == direct
+
+
+def test_order_two_sums_and_censuses_build_no_table(monkeypatch):
+    # at ell = 2 the tallies, censuses and exceptional windows read the
+    # bitmap of squares, with the same results as the power map
+    p = 10009
+    fs = FieldSpec.from_prime(p)
+    P, Q = poly([1, 1, 0, 1], p), poly([2, 0, 1], p)
+
+    def run():
+        ffield.character.cache_clear()
+        chi = _chi(p, 2)
+        results = (
+            incomplete_sum(P, chi, 3, p - 5),
+            census_m(P, chi, 3, [0, 1, 5], (p - 10) // 3, [0, 1, 0]),
+            joint_census([P, Q], chi, 2, [0, 7], (p - 10) // 2, [[1, 0], [0, 1]]),
+            curvewin.cor4_exceptional(fs, 2, [1, 5, 12], 1),
+        )
+        return chi, results
+
+    limit = ffield._TABLE_LIMIT
+    monkeypatch.setattr(ffield, "_TABLE_LIMIT", 16)
+    chi, want = run()
+    assert chi.power_bits is None
+    monkeypatch.setattr(ffield, "_TABLE_LIMIT", limit)
+    monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("index table built"))
+    chi, got = run()
+    assert got == want
+    assert "table" not in vars(chi) and chi.power_bits is not None

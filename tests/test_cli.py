@@ -225,6 +225,8 @@ def test_model_error_past_the_guards_exits_1(monkeypatch, capsys):
     def dp(*args):
         raise ValueError("boom")
 
+    # a cached law from an earlier run would skip the patched DP
+    rwalk._sampling_law.cache_clear()
     monkeypatch.setattr(rwalk, "_block_type_distribution", dp)
     code, payload, err = run_json(capsys, PHI_ARGS)
     assert code == 1 and payload is None

@@ -1184,6 +1184,8 @@ def test_thm1_model_errors_past_the_guards_propagate(monkeypatch):
             raise exc
         return dp
 
+    # a cached law from an earlier run would skip the patched DP
+    rwalk._sampling_law.cache_clear()
     monkeypatch.setattr(rwalk, "_block_type_distribution", failing(InfeasibleModelError("guard")))
     rep = experiment_thm1(C, _spec10007(), m=3, trials=5, seed=7)
     assert rep.model is None and rep.model_pass is None

@@ -296,9 +296,19 @@ def test_char_index_table_matches_oracles(p, ell):
         assert table[x] == (-1 if j is None else j)
 
 
+def _int_edges(p: int) -> list[np.ndarray]:
+    """The int64 extremes around [0, p), and each narrower integer dtype's."""
+    edges = [np.array([-(2**63), 2**63 - 1, -1, 0, 1, p - 1, p, -p, 2 * p + 1], dtype=np.int64)]
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        edges.append(np.array([info.min, info.max, 0, 1, info.max // 3], dtype=dtype))
+    return edges
+
+
 def test_char_indices_table_path_matches_power_map(monkeypatch):
-    # the first char_indices call builds exactly one index table, and every
-    # later call, on any input, reads it
+    # for d != 2 the first char_indices call builds exactly one index table,
+    # and every later call, on any input, reads it; d = 2 reads the bitmap
+    # of squares and builds no table
     builds = []
     build = ffield.char_index_table
 
@@ -315,26 +325,77 @@ def test_char_indices_table_path_matches_power_map(monkeypatch):
             builds.clear()
             chi = character(fs, ell)
             assert builds == []
+            want_builds = [] if chi.d == 2 else [p]
             n = 4096
             xs = rng.integers(-3 * p, 3 * p, size=n)
             xs[: n // 8] = rng.integers(-3, 4, size=n // 8) * p  # zeros mod p
             got = char_indices(chi, xs)
-            assert builds == [p]
-            assert chi.table is not None
+            assert builds == want_builds
+            assert ("table" in vars(chi)) == (chi.d != 2)
             assert character(fs, ell) is chi
             want = ffield._char_indices_pow(chi, xs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
             # the one-pass range check at the int64 extremes, and narrower
             # integer dtypes, which are widened first
-            edges = [np.array([-(2**63), 2**63 - 1, -1, 0, p - 1, p], dtype=np.int64)]
-            for dtype in (np.int8, np.int16, np.uint16, np.int32, np.uint64):
-                info = np.iinfo(dtype)
-                edges.append(np.array([info.min, info.max, 0, 1, info.max // 3], dtype=dtype))
-            for xs in edges:
+            for xs in _int_edges(p):
                 want = [-1 if (j := char_index(chi, int(x))) is None else j for x in xs]
                 assert char_indices(chi, xs).tolist() == want
-            assert builds == [p]
+            assert builds == want_builds
+
+
+def _power_map(chi, xs: np.ndarray) -> np.ndarray:
+    """The power map's indices of xs, narrow integer dtypes widened first."""
+    return ffield._char_indices_pow(chi, xs.astype(np.int64) if xs.dtype.itemsize < 8 else xs)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 10009, 1000003])
+def test_order_two_indices_read_the_bitmap(p, monkeypatch):
+    # d = 2: index 0 where the bit of squares is set, 1 where it is clear,
+    # -1 at 0, with no index table ever built
+    monkeypatch.setattr(ffield, "char_index_table", lambda chi: pytest.fail("index table built"))
+    character.cache_clear()
+    chi = character(FieldSpec.from_prime(p), 2)
+    assert chi.d == 2
+    xs = np.arange(p, dtype=np.int64)
+    got = char_indices(chi, xs)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, ffield._char_indices_pow(chi, xs))
+    assert np.count_nonzero(got == 0) == np.count_nonzero(got == 1) == (p - 1) // 2
+    # the int64 extremes, narrow dtypes and a grid, whose shape is kept
+    grid = np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * (p // 3 + 1)
+    for xs in [*_int_edges(p), grid]:
+        got = char_indices(chi, xs)
+        want = _power_map(chi, xs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    # a 0-d input, which the power map does not take
+    for x in (0, 1, p - 1):
+        want = char_index(chi, x)
+        assert char_indices(chi, np.array(x)).tolist() == (-1 if want is None else want)
+    assert "table" not in vars(chi) and chi.power_bits is not None
+
+
+@pytest.mark.parametrize("p,ell", [(61, 3), (61, 4), (61, 5), (10141, 3), (10141, 4), (10141, 5)])
+def test_higher_orders_keep_the_index_table(p, ell, monkeypatch):
+    # d >= 3 reads the index table, built once, and never builds the bitmap
+    builds = []
+    build = ffield.char_index_table
+
+    def counted(chi):
+        builds.append(chi.d)
+        return build(chi)
+
+    monkeypatch.setattr(ffield, "char_index_table", counted)
+    monkeypatch.setattr(ffield, "power_bitmap", lambda chi: pytest.fail("bitmap built"))
+    character.cache_clear()
+    chi = character(FieldSpec.from_prime(p), ell)
+    assert chi.d == ell
+    xs = np.arange(-p, 2 * p, dtype=np.int64)
+    assert np.array_equal(char_indices(chi, xs), ffield._char_indices_pow(chi, xs))
+    for xs in _int_edges(p):
+        assert np.array_equal(char_indices(chi, xs), _power_map(chi, xs))
+    assert builds == [ell] and "power_bits" not in vars(chi)
 
 
 @pytest.mark.parametrize("p,dtype", [(16777259, np.int64), (10009, object)])

@@ -179,6 +179,14 @@ def test_trial_gen_matches_fresh_trial_rng():
             assert fresh.bit_generator.state["has_uint32"] == 1
             _trial_gen(seed, trial).integers(0, 2, size=5)
             assert _same_draws(_draws(_trial_gen(seed, trial + 1)), _draws(trial_rng(seed, trial + 1)))
+    # keys 0 and 2^64 - 1 in each word, and a negative seed, which both
+    # paths mask to its 64-bit two's complement
+    top = 2**64 - 1
+    for seed, trial in ((0, 0), (top, top), (0, top), (top, 0), (-3, 5)):
+        gen = _trial_gen(seed, trial)
+        assert gen.bit_generator.state["state"]["key"].tolist() == [seed & top, trial & top]
+        assert _same_draws(_draws(gen), _draws(trial_rng(seed, trial)))
+    assert _same_draws(_draws(_trial_gen(-3, 5)), _draws(trial_rng(top - 2, 5)))
 
 
 def test_trial_gen_streams_from_two_threads():
@@ -641,6 +649,7 @@ def test_visit_sums_exact_below_2_53():
 
 def test_model_refuses_visit_sums_past_2_53(monkeypatch):
     # the guard fires before the DP, whose spy would record a call
+    rwalk._sampling_law.cache_clear()
     calls = []
     dp = rwalk._block_type_distribution
     monkeypatch.setattr(rwalk, "_block_type_distribution", lambda *a: calls.append(a) or dp(*a))
@@ -650,6 +659,29 @@ def test_model_refuses_visit_sums_past_2_53(monkeypatch):
     assert not calls
     ms = model_reference(2, 3, 5, blocks=2**53 // 5, trials=2, seed=0)
     assert len(calls) == 1 and ms.q99 >= ms.q50 >= 0
+
+
+def test_one_sampling_law_per_shape(monkeypatch):
+    # repeated calls on one shape run the DP once and sample the same law;
+    # a new shape replaces it
+    rwalk._sampling_law.cache_clear()
+    calls = []
+    dp = rwalk._block_type_distribution
+    monkeypatch.setattr(rwalk, "_block_type_distribution", lambda *a: calls.append(a[1:]) or dp(*a))
+    first = model_reference(2, 3, 5, blocks=40, trials=20, seed=3)
+    again = model_reference(2, 3, 5, blocks=40, trials=20, seed=3)
+    assert calls == [(3, 1, 5)]
+    assert np.array_equal(first.discrepancies, again.discrepancies)
+    steps = _steps(2, Fraction(1, 2), 3, 1)
+    cells, probs = rwalk._sampling_law(steps, 3, 1, 5)
+    assert len(calls) == 1
+    assert not cells.flags.writeable and not probs.flags.writeable
+    types, want = dp(steps, 3, 1, 5)
+    assert cells.dtype == np.float64 and np.array_equal(cells, types.T)
+    assert np.array_equal(probs, want / want.sum())
+    model_reference_joint(2, 3, 4, 2, blocks=10, trials=5, seed=1)
+    model_reference(2, 3, 5, blocks=40, trials=20, seed=3)
+    assert calls == [(3, 1, 5), (3, 2, 4), (3, 1, 5)]
 
 
 def test_quantile_replica_is_bitwise_numpy():
