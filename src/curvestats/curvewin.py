@@ -28,12 +28,12 @@ from .errors import HypothesisError, InfeasibleModelError
 from .ffield import (
     Character,
     FieldSpec,
+    _root_counts,
     char_index,
     char_indices,
     character,
     legendre,
     pow_mod_vec,
-    root_counts,
 )
 from .parallel import run_blocks
 from .polyff import Poly, admissible, multiplicatively_independent, x_poly
@@ -278,14 +278,14 @@ def fiber_array(C: Curve, lo: int, hi: int, buffers: _TileBuffers | None = None)
     character's index dtype: int8 for d < 128, else int32.  P(x) is
     evaluated in buffers when given; the result is always a fresh array.
 
-    The sizes are root_counts of the values P(x): for p <= 2**24, d times
-    the bit of P(x) in the character's bitmap of d-th powers (built by
-    the first call), and 1 where P(x) = 0; above that, from the character
-    indices of P(x) by the power map."""
+    The sizes are _root_counts of the values P(x), which eval_vec leaves
+    in [0, p): for p <= 2**24, d times the bit of P(x) in the character's
+    bitmap of d-th powers (built by the first call), and 1 where P(x) = 0;
+    above that, from the character indices of P(x) by the power map."""
     if buffers is None:
-        return root_counts(C.chi, C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64)))
+        return _root_counts(C.chi, C.P.eval_vec(np.arange(lo, hi + 1, dtype=np.int64)))
     n = max(0, hi - lo + 1)
-    return root_counts(C.chi, buffers.values(C.P, lo, n), q=buffers.q[:n])
+    return _root_counts(C.chi, buffers.values(C.P, lo, n), q=buffers.q[:n])
 
 
 def _fiber_values(C: Curve):
@@ -671,7 +671,7 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
     """The pipeline every theorem experiment shares.
 
     Enforces the fatal hypotheses, histograms the counts (count() returns
-    the Histogram), compares the discrepancy with the explicit bound and
+    the Histogram), compares the discrepancy with the bound (both Fractions) and
     calibrates it against model(nblocks).  A model past the exact DP's
     feasibility guards is skipped and recorded as a failed, non-fatal
     model_feasible hypothesis; any other error propagates.
@@ -697,8 +697,8 @@ def _experiment(kind, spec, trials, seed, blocks, checks, params, count, bound, 
         hypotheses=checks,
         histogram=hist,
         discrepancy=disc,
-        bound=bound,
-        bound_pass=float(disc) <= bound,
+        bound=float(bound),
+        bound_pass=disc <= bound,
         model=summary,
         model_pass=None if summary is None else float(disc) <= summary.q99,
     )
@@ -733,7 +733,7 @@ def experiment_thm1(
         "thm1", spec, trials, seed, blocks, checks,
         {"p": p, "ell": ell, "m": m, "poly": list(C.P.coeffs)},
         count,
-        7 * m**3 * ell**2 / L,
+        Fraction(7 * m**3 * ell**2, L),
         lambda nb: model_reference(ell, m, L, nb, trials, seed, threads=threads),
     )
 
@@ -782,7 +782,7 @@ def experiment_thm2(
         "thm2", spec, trials, seed, blocks, checks,
         {"p": p, "ell": ell, "m": m, "k": k, "polys": [list(C.P.coeffs) for C in Cs]},
         lambda: joint_histogram(Cs, spec, m, threads=threads),
-        7 * m ** (k + 2) * ell**2 / L,
+        Fraction(7 * m ** (k + 2) * ell**2, L),
         lambda nb: model_reference_joint(ell, m, L, k, nb, trials, seed, threads=threads),
     )
 
@@ -833,6 +833,6 @@ def experiment_thm3(
             "alpha": float(alpha),
         },
         count,
-        4 * m**4 / L,
+        Fraction(4 * m**4, L),
         lambda nb: model_reference_bernoulli(alpha, m, L, nb, trials, seed, threads=threads),
     )

@@ -28,7 +28,6 @@ __all__ = [
     "char_indices",
     "char_index_table",
     "power_bitmap",
-    "root_counts",
     "legendre",
 ]
 
@@ -93,11 +92,27 @@ def floor_mod(
     return np.subtract(a, q, out=out)
 
 
+def _residues(xs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """xs mod p as int64 of xs's shape, and a bound on its entries: xs
+    itself and its maximum when it is int64 in [0, p) (narrower integer
+    dtypes are widened first), else floor_mod of it and p - 1."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
+        # numpy >= 2 will not take a p above the dtype's range as a scalar
+        xs = xs.astype(np.int64)
+    if xs.dtype == np.int64:
+        # one pass checks both ends: negative entries read as uint64 values above p
+        top = int(xs.view(np.uint64).max(initial=0))
+        if top < p:
+            return xs, top
+    return np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False), p - 1
+
+
 def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
     """Elementwise xs**exp mod p.
 
-    Uses int64 square-and-multiply when products cannot overflow
-    (p <= 3_037_000_499); larger moduli fall back to scalar pow.
+    Uses int64 square-and-multiply on _residues(xs, p) when products cannot
+    overflow (p <= 3_037_000_499); larger moduli fall back to scalar pow.
     """
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
@@ -107,10 +122,9 @@ def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
     if p > _INT64_MOD_LIMIT:
         flat = [pow(int(x), exp, p) for x in xs.ravel()]
         return np.array(flat, dtype=object).reshape(xs.shape)
-    if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
-        # numpy >= 2 will not take a p above the dtype's range as a scalar
-        xs = xs.astype(np.int64)
-    base = np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False)
+    base, _ = _residues(xs, p)
+    if base is xs:
+        base = base.copy()  # squared in place below
     result = np.ones_like(base)
     q = np.empty_like(base)
     e = exp
@@ -283,26 +297,20 @@ def _index_dtype(d: int) -> type:
 def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
     """Vectorized char_index; zero values are encoded as -1.
 
-    Integer input is read from a lookup over [0, p) when the character
-    has one (p <= 2**24), which the first such call builds: for d = 2,
-    the bitmap of squares (power_bits), whose bit gives index 0 where set
-    and 1 where clear; for other d, the index table.  Otherwise the
-    indices come from the power map.  Every path returns the table's
-    dtype.
+    Integer input is reduced by _residues and read from a lookup over
+    [0, p) when the character has one (p <= 2**24), which the first such
+    call builds: for d = 2, the bitmap of squares (power_bits), whose bit
+    gives index 0 where set and 1 where clear; for other d, the index
+    table.  Otherwise the indices come from the power map.  Every path
+    returns the table's dtype.
     """
-    p = chi.field.p
     xs = np.asarray(xs)
     lookup = None
     if xs.dtype.kind in "iu":
         lookup = chi.power_bits if chi.d == 2 else chi.table
     if lookup is None:
         return _char_indices_pow(chi, xs)
-    if xs.dtype.itemsize < 8:
-        # numpy >= 2 will not take a p above the dtype's range as a scalar
-        xs = xs.astype(np.int64)
-    # one pass checks both ends: negative int64 entries read as uint64 values above p
-    if xs.size and int(xs.view(np.uint64).max()) >= p:
-        xs = floor_mod(xs, p)
+    xs, _ = _residues(xs, chi.field.p)
     if chi.d != 2:
         return lookup[xs]
     values = xs.reshape(-1)  # a 0-d take would give a scalar
@@ -314,27 +322,23 @@ def char_indices(chi: Character, xs: np.ndarray) -> np.ndarray:
 
 
 def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
-    """char_indices by the power map x -> x^((p-1)/d); oracle for the table."""
-    p = chi.field.p
+    """char_indices by the power map x -> x^((p-1)/d); oracle for both lookups.
+    pow_mod_vec reduces xs, and p divides x exactly when the power is 0."""
     dtype = _index_dtype(chi.d)
-    xs = np.asarray(xs)
-    t = pow_mod_vec(xs, chi.exponent, p)
+    shape = np.shape(xs)
+    t = pow_mod_vec(xs, chi.exponent, chi.field.p).reshape(-1)
     if t.dtype == object:
-        flat = np.array(
-            [-1 if x % p == 0 else chi.index_of[v] for x, v in zip(xs.ravel(), t.ravel())],
-            dtype=dtype,
-        )
-        return flat.reshape(xs.shape)
+        flat = np.array([-1 if v == 0 else chi.index_of[v] for v in t], dtype=dtype)
+        return flat.reshape(shape)
     table = np.array(chi.match_table, dtype=np.int64)
     order = np.argsort(table)
     svals = table[order]
     pos = np.searchsorted(svals, t)
     pos[pos == chi.d] = 0
     out = np.where(svals[pos] == t, order[pos], -1)
-    bad = (out == -1) & (np.mod(xs, p) != 0)
-    if bad.any():
+    if ((out == -1) & (t != 0)).any():
         raise ArithmeticError("power map left the root-of-unity table")
-    return out.astype(dtype)
+    return out.astype(dtype).reshape(shape)
 
 
 def _power_blocks(base: int, n: int, p: int, offsets: np.ndarray, block: int):
@@ -430,10 +434,11 @@ def _power_bit(bits: np.ndarray, values: np.ndarray, q: np.ndarray | None = None
     return found
 
 
-def root_counts(chi: Character, values: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+def _root_counts(chi: Character, values: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     """#{y in F_p : y^ell = v} for int64 values v in [0, p): d at the
     nonzero d-th powers, 1 at v = 0 and 0 elsewhere, as a fresh array in
-    the index table's dtype (int8 for d < 128, else int32).
+    the index table's dtype (int8 for d < 128, else int32).  values are
+    not reduced here; the caller passes residues, as eval_vec returns.
 
     For p <= 2**24 the counts are d times v's bit in chi.power_bits, which
     the first call builds, with v = 0 patched to 1; q, an int64 array of

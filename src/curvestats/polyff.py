@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import _INT64_MOD_LIMIT, factorize, floor_mod, is_prime
+from .ffield import _INT64_MOD_LIMIT, _residues, factorize, floor_mod, is_prime
 
 __all__ = [
     "Poly",
@@ -79,7 +79,8 @@ class Poly:
     ) -> np.ndarray:
         """Horner evaluation over an array, int64 fast path for safe moduli.
 
-        int64 input already in [0, p) is read as is.  The accumulator is
+        xs enters through ffield._residues, which reads int64 input
+        already in [0, p) as is and bounds it.  The accumulator is
         reduced only when a bound on its entries says the next acc*x + c
         could reach 2^63, and once at the end; the bound grows by the
         largest x, so input far below p (as from compose_linear) needs
@@ -93,16 +94,7 @@ class Poly:
         if p > _INT64_MOD_LIMIT:
             flat = [self(int(x)) for x in xs.ravel()]
             return np.array(flat, dtype=object).reshape(xs.shape)
-        if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
-            # numpy >= 2 will not take a p above the dtype's range as a scalar
-            xs = xs.astype(np.int64)
-        # negative int64 entries read as uint64 values above p
-        top = int(xs.view(np.uint64).max(initial=0)) if xs.dtype == np.int64 else p
-        if top < p:
-            x = xs
-        else:
-            x = np.asarray(floor_mod(xs, p)).astype(np.int64, copy=False)
-            top = p - 1
+        x, top = _residues(xs, p)
         acc = np.empty_like(x) if out is None else out
         if len(self.coeffs) < 2:
             acc[...] = self.coeffs[0] if self.coeffs else 0

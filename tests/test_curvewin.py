@@ -257,7 +257,7 @@ def test_fiber_size_table_matches_oracles(p, ell):
     assert not chi.power_bits.flags.writeable
     assert np.array_equal(chi.power_bits, bitmap)
     q = np.empty_like(xs)
-    for got in (fiber_array(C, 0, p - 1), ffield.root_counts(chi, xs, q)):
+    for got in (fiber_array(C, 0, p - 1), ffield._root_counts(chi, xs, q)):
         assert got.dtype == (np.int8 if d < 128 else np.int32)
         assert np.array_equal(got, roots)
 
@@ -1171,6 +1171,22 @@ def test_thm1_report_regression():
     ]
     regime = rep.hypotheses[-1]
     assert not regime.passed and not regime.fatal
+
+
+def test_bound_pass_is_decided_on_fractions():
+    # disc = 2/3 rounds down to a float, so a bound strictly between
+    # float(disc) and disc passes a float comparison but not the exact one
+    hist = Histogram(m=3, counts=(1, 0, 0))
+    disc = hist.discrepancy()
+    assert disc == Fraction(2, 3) and float(disc) < disc
+    bound = (Fraction(float(disc)) + disc) / 2
+    assert float(disc) < bound < disc
+    summary = rwalk.ModelSummary(1.0, 1.0, 1.0, np.zeros(1), blocks=4, trials=1)
+    rep = curvewin._experiment(
+        "thm1", ScanSpec(0, 10, 3, 2), 1, 0, None, [], {}, lambda: hist, bound, lambda nb: summary
+    )
+    assert rep.discrepancy == disc and rep.bound_pass is False
+    assert type(rep.bound) is float and rep.bound == float(bound)
 
 
 def test_thm1_model_errors_past_the_guards_propagate(monkeypatch):

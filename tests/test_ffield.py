@@ -22,6 +22,7 @@ from curvestats.ffield import (
     pow_mod_vec,
     primitive_root,
 )
+from curvestats.polyff import poly
 
 
 # ---------------------------------------------------------------- pow_mod_vec
@@ -344,11 +345,6 @@ def test_char_indices_table_path_matches_power_map(monkeypatch):
             assert builds == want_builds
 
 
-def _power_map(chi, xs: np.ndarray) -> np.ndarray:
-    """The power map's indices of xs, narrow integer dtypes widened first."""
-    return ffield._char_indices_pow(chi, xs.astype(np.int64) if xs.dtype.itemsize < 8 else xs)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 10009, 1000003])
 def test_order_two_indices_read_the_bitmap(p, monkeypatch):
     # d = 2: index 0 where the bit of squares is set, 1 where it is clear,
@@ -362,14 +358,14 @@ def test_order_two_indices_read_the_bitmap(p, monkeypatch):
     assert got.dtype == np.int8
     assert np.array_equal(got, ffield._char_indices_pow(chi, xs))
     assert np.count_nonzero(got == 0) == np.count_nonzero(got == 1) == (p - 1) // 2
-    # the int64 extremes, narrow dtypes and a grid, whose shape is kept
+    # the int64 extremes, narrow dtypes, a grid and 0-d inputs, whose
+    # shapes are kept
     grid = np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * (p // 3 + 1)
-    for xs in [*_int_edges(p), grid]:
+    for xs in [*_int_edges(p), grid, *(np.array(x) for x in (0, 1, p - 1))]:
         got = char_indices(chi, xs)
-        want = _power_map(chi, xs)
+        want = ffield._char_indices_pow(chi, xs)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    # a 0-d input, which the power map does not take
     for x in (0, 1, p - 1):
         want = char_index(chi, x)
         assert char_indices(chi, np.array(x)).tolist() == (-1 if want is None else want)
@@ -394,7 +390,7 @@ def test_higher_orders_keep_the_index_table(p, ell, monkeypatch):
     xs = np.arange(-p, 2 * p, dtype=np.int64)
     assert np.array_equal(char_indices(chi, xs), ffield._char_indices_pow(chi, xs))
     for xs in _int_edges(p):
-        assert np.array_equal(char_indices(chi, xs), _power_map(chi, xs))
+        assert np.array_equal(char_indices(chi, xs), ffield._char_indices_pow(chi, xs))
     assert builds == [ell] and "power_bits" not in vars(chi)
 
 
@@ -424,6 +420,46 @@ def test_char_indices_without_table(p, dtype, monkeypatch):
         assert chi.table is None and chi.power_bits is None
     else:
         assert "table" not in vars(chi)
+
+
+@pytest.mark.parametrize("p", [13, 1000003, 16777259])
+def test_every_entry_point_reduces_the_same_way(p):
+    # pow_mod_vec, char_indices on each of its paths (the bitmap at d = 2
+    # and the index table at d = 3 up to 2^24, the power map above it),
+    # the power map itself and eval_vec all take their input through one
+    # reduction, so each agrees with Python ints on every integer dtype,
+    # 0-d, empty, 2-d and (at small p) object input, and writes none of it
+    fs = FieldSpec.from_prime(p)
+    chis = [character(fs, ell) for ell in (2, 3)]
+    P = poly([1, 1, 0, 1], p)
+    e = (p - 1) // 2
+    inputs = [
+        *_int_edges(p),
+        *(np.array(x, dtype=np.int64) for x in (0, 1, p - 1, p, -1, 2**63 - 1)),
+        np.array(-1, dtype=np.int8),
+        np.array(65535, dtype=np.uint16),
+        np.zeros(0, dtype=np.int64),
+        np.zeros(0, dtype=np.int16),
+        np.arange(12, dtype=np.int64).reshape(3, 4) * (p // 12),  # in [0, p): read as is
+        np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * (p // 3 + 1),
+    ]
+    if p < 100:
+        inputs.append(np.array([2**70, -(2**70), -1, 0, p, 2 * p + 5], dtype=object))
+
+    def check(got, shape, want, dtype):
+        assert np.shape(got) == shape and np.asarray(got).dtype == dtype
+        assert np.asarray(got).reshape(-1).tolist() == want
+
+    for xs in inputs:
+        before = xs.copy()
+        ints = [int(x) for x in xs.reshape(-1)]
+        check(pow_mod_vec(xs, e, p), xs.shape, [pow(x, e, p) for x in ints], np.int64)
+        check(P.eval_vec(xs), xs.shape, [P(x) for x in ints], np.int64)
+        for chi in chis:
+            want = [-1 if (j := char_index(chi, x)) is None else j for x in ints]
+            check(char_indices(chi, xs), xs.shape, want, np.int8)
+            check(ffield._char_indices_pow(chi, xs), xs.shape, want, np.int8)
+        assert xs.dtype == before.dtype and np.array_equal(xs, before)
 
 
 @pytest.mark.parametrize("p", [3, 10007, 10000019, 3037000493, ffield._INT64_MOD_LIMIT])
