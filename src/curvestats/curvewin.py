@@ -333,22 +333,16 @@ def _window_sums(values: np.ndarray, I: int, n: int) -> tuple[np.ndarray, int]:
     return out, bound
 
 
-def _scan_chunks(scan_len: int, threads: int) -> list[tuple[int, int]]:
-    n = max(1, min(scan_len, max(threads, -(-scan_len // _SCAN_CHUNK))))
-    step = (scan_len + n - 1) // n
-    return [(s, min(s + step, scan_len)) for s in range(0, scan_len, step)]
-
-
 def _scan_tiles(tile, spec: ScanSpec, threads: int) -> list:
-    """[tile(s0, s1, lo, hi, buffers) for each (s0, s1) of _scan_chunks],
-    where windows s0..s1-1 of the scan need values at x in [lo, hi].
+    """[tile(s0, s1, lo, hi, buffers) for each tile [s0, s1) of the scan's
+    windows], where windows s0..s1-1 need values at x in [lo, hi].
 
-    The tiles, at least one per thread and none longer than _SCAN_CHUNK
-    windows, run in one contiguous block per worker; each worker
+    The tiles are cut as _tiles cuts [0, scan_len), at any thread count;
+    whole tiles run in one contiguous block per worker, and each worker
     evaluates all of its tiles in one _TileBuffers."""
     I = spec.window_len
-    chunks = _scan_chunks(spec.scan_len, threads)
-    iota = np.arange(chunks[0][1] - chunks[0][0] + max(I - 1, 0), dtype=np.int64)
+    chunks = [(s, min(s + _SCAN_CHUNK, spec.scan_len)) for s in range(0, spec.scan_len, _SCAN_CHUNK)]
+    iota = np.arange(chunks[0][1] + max(I - 1, 0), dtype=np.int64)
 
     def block(first: int, last: int) -> list:
         buffers = _TileBuffers(iota)

@@ -1,10 +1,11 @@
 """The package's one thread fan-out.
 
-Item i's result always lands at index i, so results never depend on the
-thread count or on which worker ran which item.  run_blocks hands each
-worker its whole block of items at once, so that a worker can set up
-state, such as scan buffers, once for all of them; per-item work is a
-comprehension over its block.
+Items are fixed by the input; threads choose only which worker runs
+each, and item i's result always lands at index i, so results never
+depend on the thread count.  Scans hand out tiles of windows, model
+sampling batches of trials and walk simulation single trials.
+run_blocks hands each worker its whole block of items at once, so that
+a worker sets up state, such as scan buffers, once for all of them.
 """
 
 from __future__ import annotations

@@ -330,16 +330,18 @@ def _visit_sums(cells, probs, blocks: int, seed: int, trials: int, threads: int)
     transposed type matrix: row t is trial t's draw of block-type counts,
     multinomial(blocks, probs) from trial_rng(seed, t), times the types.
 
-    Each worker draws its block of trials in batches of at most
-    _VISIT_BATCH // T trials and sums a batch's visits in one float64
-    product of cells and the transposed batch.  Every sum and partial sum
-    is an integer at most blocks * L < 2^53 (_model_core refuses larger),
-    so the product is exact in any summation order.
+    Trials are cut into batches of max(1, _VISIT_BATCH // T), batch b
+    holding trials [b * batch, (b + 1) * batch) at any thread count; a
+    worker writes the rows of its batches into one C-ordered array, each
+    batch's by one float64 product of cells and the transposed batch.
+    Every sum is an integer at most blocks * L < 2^53 (_model_core
+    refuses larger), so the product is exact in any summation order.
     """
     T = cells.shape[1]
     batch = max(1, _VISIT_BATCH // T)
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(first: int, last: int) -> np.ndarray:
+        lo, hi = first * batch, min(last * batch, trials)
         out = np.empty((hi - lo, cells.shape[0]))
         draws = np.empty((min(batch, hi - lo), T))
         for s in range(lo, hi, batch):
@@ -349,7 +351,7 @@ def _visit_sums(cells, probs, blocks: int, seed: int, trials: int, threads: int)
             out[s - lo : e - lo] = (cells @ draws[: e - s].T).T
         return out
 
-    return np.array(run_blocks(block, trials, threads))
+    return np.array(run_blocks(block, -(-trials // batch), threads))
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:

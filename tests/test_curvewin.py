@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvestats import curvewin, ffield, rwalk
+from curvestats import curvewin, ffield, parallel, rwalk
 from curvestats.curvewin import (
     BetaScan,
     Curve,
@@ -728,7 +728,17 @@ def test_short_scan_chunks_change_no_result(monkeypatch):
     witness = min(x for x in range(770, 1009) if legendre(x, 1009) == 1)
     assert witness == 777
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
-    assert len(curvewin._scan_chunks(spec.scan_len, 1)) == 129
+    # 900 windows are 129 tiles of at most 7, each evaluated in one call
+    tiles = []
+    values = curvewin._TileBuffers.values
+
+    def counted(buffers, P, lo, n, *rest):
+        tiles.append(n)
+        return values(buffers, P, lo, n, *rest)
+
+    monkeypatch.setattr(curvewin._TileBuffers, "values", counted)
+    window_counts(C, spec)
+    assert len(tiles) == 129 and set(tiles[:-1]) == {7 + 50 - 1}
     for threads in (1, 2):
         assert np.array_equal(window_counts(C, spec, threads=threads), direct)
         assert np.array_equal(restricted_window_counts(C, rect, spec, threads=threads), single)
@@ -739,12 +749,28 @@ def test_short_scan_chunks_change_no_result(monkeypatch):
 
 
 
+def _spy_scan_tiles(monkeypatch) -> list:
+    """Record (s0, s1, lo, hi) of every scan tile run from here on."""
+    calls = []
+    scan_tiles = curvewin._scan_tiles
+
+    def spied(tile, spec, threads):
+        def recorded(s0, s1, lo, hi, buffers):
+            calls.append((s0, s1, lo, hi))
+            return tile(s0, s1, lo, hi, buffers)
+
+        return scan_tiles(recorded, spec, threads)
+
+    monkeypatch.setattr(curvewin, "_scan_tiles", spied)
+    return calls
+
+
 def test_two_thread_tiles_unequal_and_short(monkeypatch):
-    # 16 windows in tiles of at most 7 windows are tiles of 6, 6 and 4, so
-    # at 2 threads one worker runs one tile and the other two, the last
-    # short; each worker allocates one set of buffers for all its tiles
+    # 16 windows in tiles of 7 windows are tiles of 7, 7 and 2, so at 2
+    # threads one worker runs one tile and the other two, the last short;
+    # each worker allocates one set of buffers for all its tiles
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
-    assert curvewin._scan_chunks(16, 2) == [(0, 6), (6, 12), (12, 16)]
+    spans = _spy_scan_tiles(monkeypatch)
     made = []
     tile_buffers = curvewin._TileBuffers
 
@@ -760,8 +786,10 @@ def test_two_thread_tiles_unequal_and_short(monkeypatch):
     runs = {}
     for threads in (1, 2):
         made.clear()
+        spans.clear()
         counts = window_counts(Cs[0], spec, threads=threads)
-        assert made == [6 + 50 - 1] * threads
+        assert made == [7 + 50 - 1] * threads
+        assert sorted(span[:2] for span in spans) == [(0, 7), (7, 14), (14, 16)]
         runs[threads] = (
             counts.tobytes(),
             repr(joint_histogram(Cs[:1], spec, 3, threads=threads)),
@@ -769,6 +797,53 @@ def test_two_thread_tiles_unequal_and_short(monkeypatch):
         )
     assert runs[1] == runs[2]
     assert np.array_equal(counts, window_counts_direct(Cs[0], spec))
+
+
+def test_scan_tiles_fixed_by_the_input(monkeypatch):
+    # the tiles of a scan depend on its windows alone: 900 windows in tiles
+    # of 64 are the same 15 (lo, n) tile calls at 1, 2 and 4 threads, for
+    # a window count, a joint tally and a beta scan
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 64)
+    calls = _spy_scan_tiles(monkeypatch)
+    p = 1009
+    fs = _field(p)
+    Cs = [curve(fs, 2, poly([1, 1, 0, 1], p)), curve(fs, 2, poly([3, 0, 1], p))]
+    spec = ScanSpec(3, 900, 50)
+    runs = {}
+    for threads in (1, 2, 4):
+        runs[threads] = []
+        for scan in (
+            lambda: window_counts(Cs[0], spec, threads=threads),
+            lambda: joint_histogram(Cs, spec, 3, threads=threads),
+            lambda: beta_residue_scan(fs, Fraction(1, 2), spec, m=3, threads=threads),
+        ):
+            calls.clear()
+            scan()
+            runs[threads].append(sorted((lo, hi - lo + 1) for _, _, lo, hi in calls))
+    assert runs[1] == runs[2] == runs[4]
+    tiles = [(4 + 64 * t, 64 + 50 - 1) for t in range(14)] + [(4 + 64 * 14, 900 - 64 * 14 + 50 - 1)]
+    assert runs[1] == [tiles] * 3
+
+
+def test_one_unit_jobs_start_no_pool(monkeypatch):
+    # a scan shorter than one tile, and a model whose trials fit in one
+    # batch (criterion 9's 21 block types, 500 trials), run on the calling
+    # thread at any thread count
+    def refused(*args, **kwargs):
+        raise AssertionError("a one-unit job started a thread pool")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", refused)
+    p = 1009
+    fs = _field(p)
+    C = curve(fs, 2, poly([1, 1, 0, 1], p))
+    spec = ScanSpec(3, 900, 50)
+    assert spec.scan_len < curvewin._SCAN_CHUNK
+    assert np.array_equal(window_counts(C, spec, threads=4), window_counts_direct(C, spec))
+    assert joint_histogram([C], spec, 3, threads=4) == residue_histogram(window_counts_direct(C, spec), 3)
+    beta_residue_scan(fs, Fraction(1, 2), spec, m=3, threads=4)
+    cells, _ = rwalk._sampling_law(rwalk._steps(2, Fraction(1, 2), 3, 1), 3, 1, 5)
+    assert cells.shape[1] == 21 and 500 <= rwalk._VISIT_BATCH // 21
+    rwalk.model_reference(2, 3, 5, blocks=179, trials=500, seed=9, threads=4)
 
 
 @pytest.mark.parametrize("p", [10000019, 2**31 - 1, 3037000493])

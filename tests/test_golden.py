@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from curvestats import cli, curvewin
+from curvestats import cli, curvewin, rwalk
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -96,7 +96,8 @@ def test_golden_report(case):
 
 
 # the scanning cases again, over many short chunks (97 windows, a prime, so
-# chunk edges fall at no window or block boundary)
+# chunk edges fall at no window or block boundary) and model batches of one
+# trial; at 2 threads every scan and every model runs on two workers
 SCANS = {
     "phi": ("phi.json", PHI),
     "joint": ("joint.json", JOINT),
@@ -109,8 +110,21 @@ SCANS = {
 @pytest.mark.parametrize("case", list(SCANS))
 def test_golden_report_in_short_chunks(case, threads, monkeypatch):
     monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 97)
+    monkeypatch.setattr(rwalk, "_VISIT_BATCH", 1)
+    workers = []
+    for module in (curvewin, rwalk):
+        run_blocks = module.run_blocks
+
+        def spied(fn, n, t, module=module, run_blocks=run_blocks):
+            workers.append((module.__name__, min(n, t)))
+            return run_blocks(fn, n, t)
+
+        monkeypatch.setattr(module, "run_blocks", spied)
     name, argv = SCANS[case]
     assert render(argv + ["--threads", threads]) == (GOLDEN / name).read_text()
+    fanned = {"curvestats.curvewin"} | ({"curvestats.rwalk"} if "--trials" in argv else set())
+    assert {mod for mod, _ in workers} == fanned
+    assert {w for _, w in workers} == {int(threads)}
 
 
 if __name__ == "__main__":

@@ -621,19 +621,26 @@ def test_model_validation():
 def test_visit_sums_match_per_trial_products(ell, m, k, L, monkeypatch):
     # float64 batch products against each trial's int64 multinomial @ types,
     # for the 21 types of criterion 9's shape and a k = 2 model; batches of
-    # 1, of 4 with a short last one, and the default, at 1, 2 and 3 threads
+    # 1, of 4 with a short last one, and the default, at 1, 2 and 3 threads.
+    # The batches are the units handed to workers, so their number is fixed
+    # by the trials and the batch alone.
     blocks, trials, seed = 777, 11, 41
     types, probs = _block_type_distribution(_steps(ell, Fraction(1, ell), m, k), m, k, L)
     probs = probs / probs.sum()
     assert k == 2 or len(types) == 21
     want = np.array([trial_rng(seed, t).multinomial(blocks, probs) @ types for t in range(trials)])
     assert want.dtype == np.int64
-    for batch in (1, 4 * len(types), rwalk._VISIT_BATCH):
+    units = []
+    run_blocks = rwalk.run_blocks
+    monkeypatch.setattr(rwalk, "run_blocks", lambda fn, n, threads: units.append(n) or run_blocks(fn, n, threads))
+    for batch, n in ((1, trials), (4 * len(types), 3), (rwalk._VISIT_BATCH, 1)):
         monkeypatch.setattr(rwalk, "_VISIT_BATCH", batch)
         for threads in (1, 2, 3):
+            units.clear()
             got = rwalk._visit_sums(types.T.astype(np.float64), probs, blocks, seed, trials, threads)
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert np.array_equal(got, want)
+            assert units == [n]
 
 
 def test_visit_sums_exact_below_2_53():
