@@ -382,13 +382,13 @@ def criterion_12(threads: int = 1) -> tuple[bool, str]:
 
     argsets = [
         [
-            "phi", "--p", "10007", "--ell", "2", "--m", "3", "--poly", "1,1,0,1",
-            "--window", "100", "--block", "10", "--trials", "50", "--seed", "7",
+            "phi", "--p", "65647", "--ell", "2", "--m", "3", "--poly", "1,1,0,1",
+            "--window", "100", "--block", "10", "--trials", "500", "--seed", "7",
         ],
         [
-            "restricted", "--p", "10007", "--ell", "2", "--m", "3", "--poly", "0,1",
-            "--window", "100", "--block", "10", "--trials", "50", "--seed", "7",
-            "--y-lo", "1", "--y-hi", "5003",
+            "restricted", "--p", "65647", "--ell", "2", "--m", "3", "--poly", "0,1",
+            "--window", "100", "--block", "10", "--trials", "500", "--seed", "7",
+            "--y-lo", "1", "--y-hi", "32823",
         ],
         ["walk", "--ell", "2", "--m", "3", "--block", "2000", "--trials", "64", "--seed", "11"],
     ]
@@ -404,8 +404,8 @@ def criterion_12(threads: int = 1) -> tuple[bool, str]:
                     canon.append(cli.canonical_json(json.load(f)["report"]))
             if canon[0] != canon[1]:
                 return False, f"{argv[0]} reports differ between 1 and 4 threads"
-    disc_1 = model_reference(2, 3, 5, blocks=19998, trials=100, seed=3, threads=1)
-    disc_4 = model_reference(2, 3, 5, blocks=19998, trials=100, seed=3, threads=4)
+    disc_1 = model_reference(2, 3, 5, blocks=19998, trials=2000, seed=3, threads=1)
+    disc_4 = model_reference(2, 3, 5, blocks=19998, trials=2000, seed=3, threads=4)
     if not np.array_equal(disc_1.discrepancies, disc_4.discrepancies):
         return False, "model discrepancy arrays differ"
     return True, (

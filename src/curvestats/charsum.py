@@ -304,7 +304,7 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
 
     Probes leaving the x-interval contribute delta = 0; positions with
     at least one such probe are tallied in boundary_miss rather than
-    bounded a priori.
+    bounded a priori.  The positions are walked in tiles (_tiles).
     """
     p = C.p
     rect.validate(p)
@@ -313,18 +313,17 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
     offs = _probe_offsets(offsets, p)
     delta, witness = _rect_delta(C, rect)
     _enforce([_star_check(witness)])
-    start = ((rect.x_lo + stride - 1) // stride) * stride
-    xs = np.arange(start, rect.x_hi + 1, stride, dtype=np.int64)
-    prod = np.ones(xs.size, dtype=bool)
-    miss = np.zeros(xs.size, dtype=bool)
-    for h in offs:
-        pos = (xs + h) % p
-        miss |= (pos < rect.x_lo) | (pos > rect.x_hi)
-        prod &= delta[pos] == 1
+    xs = range(-(-rect.x_lo // stride) * stride, rect.x_hi + 1, stride)
+    count = boundary_miss = 0
+    for s, n, _ in _tiles(len(xs)):
+        tile = np.arange(xs[s], xs[s + n - 1] + 1, stride, dtype=np.int64)
+        prod = np.ones(n, dtype=bool)
+        miss = np.zeros(n, dtype=bool)
+        for h in offs:
+            pos = (tile + h) % p
+            miss |= (pos < rect.x_lo) | (pos > rect.x_hi)
+            prod &= delta[pos] == 1
+        count += int(prod.sum())
+        boundary_miss += int(miss.sum())
     prediction = Fraction(rect.x_size, stride) * Fraction(rect.y_size, p) ** len(offs)
-    return ShiftedCensusResult(
-        count=int(prod.sum()),
-        prediction=prediction,
-        positions=int(xs.size),
-        boundary_miss=int(miss.sum()),
-    )
+    return ShiftedCensusResult(count, prediction, len(xs), boundary_miss)

@@ -438,12 +438,16 @@ def _rect_delta(C: Curve, rect: Rect) -> tuple[np.ndarray, int | None]:
     """The rectangle's membership delta over x in [0, p) (read-only int8:
     1 where some y in [y_lo, y_hi] has (x, y) on the curve, 0 elsewhere
     and outside [x_lo, x_hi]), and the smallest x with two or more such y
-    (None when the at-most-one-y condition holds), from one tile pass."""
+    (None when the at-most-one-y condition holds).  The counts of y with
+    y^ell = v, at most d, go per y-tile into p entries of np.min_scalar_type(d),
+    one byte while d < 256, which one tile pass over the x-interval reads."""
     p = C.p
     if p > (1 << 27):
-        raise ValueError("restricted scans limited to p <= 2^27 (multiset index memory)")
-    ys = np.arange(rect.y_lo, rect.y_hi + 1, dtype=np.int64)
-    mult = np.bincount(pow_mod_vec(ys, C.ell, p), minlength=p)
+        raise ValueError("restricted scans limited to p <= 2^27 (two tables of p entries)")
+    mult = np.zeros(p, dtype=np.min_scalar_type(C.chi.d))
+    one = mult.dtype.type(1)  # a Python-int 1 leaves np.add.at's fast path
+    for s, n, buffers in _tiles(rect.y_size):
+        np.add.at(mult, pow_mod_vec(buffers.iota[:n] + (rect.y_lo + s), C.ell, p), one)
     delta = np.zeros(p, dtype=np.int8)
     witness = None
     for s, n, buffers in _tiles(rect.x_size):

@@ -341,15 +341,11 @@ def _char_indices_pow(chi: Character, xs: np.ndarray) -> np.ndarray:
     return out.astype(dtype).reshape(shape)
 
 
-def _power_blocks(base: int, n: int, p: int, offsets: np.ndarray, block: int):
-    """Yield (start, base^(start + offsets) mod p) for start = 0, block,
-    2 block, ... below n, keeping the exponents below n.
-
-    offsets are sorted int64 exponents in [0, block).  Each block's powers
-    are the first block's times base^start, reduced into one int64 buffer
-    that the next block overwrites.  The first block is built by doubling:
-    pows[k:2k] = pows[:k] * base^k.
-    """
+def _power_blocks(base: int, n: int, p: int, block: int):
+    """Yield base^e mod p for e = 0, 1, ..., n - 1 in blocks of block
+    consecutive exponents (the last may be shorter).  Each block is the
+    first times base^start, reduced into one int64 buffer that the next
+    overwrites; the first is built by doubling, pows[k:2k] = pows[:k] * base^k."""
     pows = np.ones(block, dtype=np.int64)
     k = 1
     while k < block:
@@ -357,45 +353,49 @@ def _power_blocks(base: int, n: int, p: int, offsets: np.ndarray, block: int):
         np.multiply(pows[:m], pow(base, k, p), out=pows[k : k + m])
         np.mod(pows[k : k + m], p, out=pows[k : k + m])
         k += m
-    pows = pows[offsets]
     vals = np.empty_like(pows)
     q = np.empty_like(pows)
     step = pow(base, block, p)
     scale = 1
     for start in range(0, n, block):
-        cnt = int(np.searchsorted(offsets, n - start))
+        cnt = min(block, n - start)
         np.multiply(pows[:cnt], scale, out=vals[:cnt])
         floor_mod(vals[:cnt], p, out=vals[:cnt], q=q[:cnt])
-        yield start, vals[:cnt]
+        yield vals[:cnt]
         scale = scale * step % p
 
 
 def char_index_table(chi: Character) -> np.ndarray:
     """Full lookup table of char indices for x in [0, p), -1 at x = 0.
 
-    Built by walking the powers of the generator in blocks
-    (_power_blocks), O(p) total work; refused for p > 2**24 to bound
-    memory.  The table starts filled with d - 1, so the walk skips the
-    coset g^j, j = d - 1 mod d, whenever blocks are a multiple of d.
+    Index c holds on the coset g^c H, H the powers of g^d.  H is walked in
+    blocks (_power_blocks) as in power_bitmap, each writing 0 at its powers
+    and c at g^c times them for c = 1, ..., d - 2.  The table starts filled
+    with d - 1, so that coset (all of F_p^* at d = 1) is never walked.
+    Refused for p > 2**24 to bound memory.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
         raise ValueError("index table only supported for p <= 2**24")
-    d = chi.d
+    d, g = chi.d, chi.field.g
     table = np.full(p, d - 1, dtype=_index_dtype(d))
     table[0] = -1
-    block = min(16384, p - 1)
-    if d <= block:
-        block -= block % d  # then index (start + j) mod d is j mod d in every block
-    offsets = np.arange(block, dtype=np.int64)
-    residues = (offsets % d).astype(table.dtype)
-    if block % d == 0:
-        keep = residues != d - 1
-        offsets, residues = offsets[keep], residues[keep]
-    for start, vals in _power_blocks(chi.field.g, p - 1, p, offsets, block):
-        if block % d:
-            residues = ((start + offsets) % d).astype(table.dtype)
-        table[vals] = residues[: vals.size]
+    if d == 1:
+        return table
+    n = (p - 1) // d
+    block = min(16384, n)
+    # cosets c = 1..d-2 go in columns, many per pass when H is small (d near
+    # p); np.put cycles their indices, as fast as one scalar index scatters
+    cols = max(1, min(16384 // block, d - 2))
+    first = next(_power_blocks(g, cols, p, cols)) * g % p  # g^1, ..., g^cols
+    out, q = np.empty((2, block, cols), dtype=np.int64)
+    for vals in _power_blocks(pow(g, d, p), n, p, block):
+        table[vals] = 0
+        for c in range(0, d - 2, cols):
+            gs = first[: d - 2 - c] * pow(g, c, p) % p  # g^(c + 1), ..., at most cols
+            o, qs = out[: vals.size, : gs.size], q[: vals.size, : gs.size]
+            np.multiply.outer(vals, gs, out=o)
+            np.put(table, floor_mod(o, p, out=o, q=qs), np.arange(c + 1, c + 1 + gs.size))
     return table
 
 
@@ -406,19 +406,16 @@ def power_bitmap(chi: Character) -> np.ndarray:
     that bit, except at x = 0, where it is 1.
 
     The nonzero d-th powers are the (p-1)/d powers of g^d, walked in
-    blocks (_power_blocks) like the generator in char_index_table; each
-    occurs once in the walk, so adding its bit into its byte sets it.
-    Refused for p > 2**24 like the index table.
+    blocks (_power_blocks) as in char_index_table; each occurs once in
+    the walk, so adding its bit into its byte sets it.  Refused for
+    p > 2**24 like the index table.
     """
     p = chi.field.p
     if p > _TABLE_LIMIT:
         raise ValueError("power bitmap only supported for p <= 2**24")
-    d = chi.d
-    n = (p - 1) // d
+    n = (p - 1) // chi.d
     bits = np.zeros((p + 7) // 8, dtype=np.uint8)
-    block = min(16384, n)
-    offsets = np.arange(block, dtype=np.int64)
-    for _, vals in _power_blocks(pow(chi.field.g, d, p), n, p, offsets, block):
+    for vals in _power_blocks(pow(chi.field.g, chi.d, p), n, p, min(16384, n)):
         np.add.at(bits, vals >> 3, np.left_shift(1, vals & 7).astype(np.uint8))
     return bits
 

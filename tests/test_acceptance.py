@@ -6,11 +6,12 @@ deterministic large-field computations are additionally pinned to their
 frozen first-run values as regressions.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from curvestats import acceptance, charsum, cli
+from curvestats import acceptance, charsum, cli, parallel
 from curvestats.curvewin import ScanSpec, curve, residue_histogram, window_counts
 from curvestats.ffield import FieldSpec
 from curvestats.polyff import poly
@@ -93,6 +94,23 @@ def test_criterion_11_vanishing_empty_windows():
 
 def test_criterion_12_thread_determinism():
     _run(12)
+
+
+def test_criterion_12_compares_threaded_runs(monkeypatch):
+    # each run criterion 12 compares spans two or more tiles, batches or
+    # trials, so at 4 threads every scan and every model sampling starts a
+    # pool: phi and restricted scan and sample, walk simulates, and the
+    # closing model reference samples
+    started = []
+    pool = parallel.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        started.append(sys._getframe(2).f_code.co_name)  # run_blocks' caller
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", spy)
+    _run(12)
+    assert started == ["_scan_tiles", "_visit_sums"] * 2 + ["simulate_phi", "_visit_sums"]
 
 
 def test_run_all_reports_every_criterion():

@@ -7,6 +7,7 @@ verified combinatorially on F_31 and F_97.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from curvestats.charsum import (
     shifted_census,
     weil_check,
 )
-from curvestats.curvewin import Rect, curve
+from curvestats.curvewin import Rect, condition_star, curve
 from curvestats.errors import HypothesisError
 from curvestats.ffield import FieldSpec, char_index, character, legendre
 from curvestats.polyff import poly, x_poly
@@ -482,6 +483,67 @@ def test_shifted_census_wraps_and_leaves_the_interval(monkeypatch):
         assert res.positions == len(xs)
 
 
+def _shifted_census_whole(C, rect, offs, stride):
+    """(count, positions, boundary_miss) from one array of all the stride
+    positions in the x-interval and one membership lookup per probe."""
+    p = C.p
+    delta, _ = curvewin._rect_delta(C, rect)
+    start = ((rect.x_lo + stride - 1) // stride) * stride
+    xs = np.arange(start, rect.x_hi + 1, stride, dtype=np.int64)
+    prod = np.ones(xs.size, dtype=bool)
+    miss = np.zeros(xs.size, dtype=bool)
+    for h in offs:
+        pos = (xs + h) % p
+        miss |= (pos < rect.x_lo) | (pos > rect.x_hi)
+        prod &= delta[pos] == 1
+    return int(prod.sum()), int(xs.size), int(miss.sum())
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 5, 8, 13])
+def test_shifted_census_tiles_match_the_whole_array(monkeypatch, stride):
+    # tiles of 7 positions; probes past p - 1 wrap into the x-interval or
+    # below it, and x_lo = 11 is a multiple of no stride above 1
+    p = 1009
+    C = curve(FieldSpec.from_prime(p), 2, poly([1, 1, 0, 1], p))
+    rect = Rect(11, p - 1, 1, 504)
+    offs = [0, 5, 990, p - 1]
+    want = _shifted_census_whole(C, rect, offs, stride)
+    assert want[0] > 0 and want[2] > 0 and want[1] > 7
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    res = shifted_census(C, rect, offs, stride)
+    assert (res.count, res.positions, res.boundary_miss) == want
+
+
+def test_rectangle_passes_hold_no_interval_long_array():
+    # the beta rectangle at p = 10000019 (y in [1, 5000009]): the count and
+    # membership tables take 10 MB apiece, and every other array one tile
+    p = 10000019
+    C = curve(FieldSpec.from_prime(p), 2, x_poly(p))
+    rect = Rect(0, p - 1, 1, p // 2)
+    runs = {
+        "_rect_delta": lambda: curvewin._rect_delta(C, rect),
+        "shifted_census": lambda: shifted_census(C, rect, [0, 1], 1),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_rectangles_refused_above_2_27_before_any_table(monkeypatch):
+    p = 134217757  # the first prime above 2^27
+    C = curve(FieldSpec.from_prime(p), 2, x_poly(p))
+    rect = Rect(0, p - 1, 1, 10)
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("table allocated"))
+    for run in (lambda: condition_star(C, rect), lambda: shifted_census(C, rect, [0, 1], 1)):
+        with pytest.raises(ValueError, match=r"p <= 2\^27 \(two tables of p entries\)"):
+            run()
+
+
 def test_shifted_census_condition_violation():
     fs = FieldSpec.from_prime(31)
     C = curve(fs, 2, x_poly(31))
@@ -495,6 +557,10 @@ def test_shifted_census_no_positions():
     C = curve(fs, 2, x_poly(31))
     res = shifted_census(C, Rect(1, 5, 1, 10), [1], stride=7)
     assert res.count == 0 and res.positions == 0
+    # a stride past p leaves x = 0 alone, also above the int64 range
+    for stride in (31, 2**64):
+        res = shifted_census(C, Rect(0, 30, 1, 15), [1], stride=stride)
+        assert (res.count, res.positions, res.boundary_miss) == (1, 1, 0)
 
 
 def test_signed_sum_identity_recovers_censored_count():

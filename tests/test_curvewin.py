@@ -43,7 +43,7 @@ from curvestats.curvewin import (
     window_counts_direct,
 )
 from curvestats.errors import HypothesisError, InfeasibleModelError
-from curvestats.ffield import FieldSpec, char_index, char_indices, legendre
+from curvestats.ffield import FieldSpec, char_index, char_indices, legendre, pow_mod_vec
 from curvestats.polyff import Poly, admissible, poly, x_poly
 
 
@@ -606,6 +606,9 @@ def test_joint_rejects_mismatched_curves():
         )
     with pytest.raises(ValueError):
         joint_histogram([], ScanSpec(0, 5, 3), 2)
+    C = curve(fs, 2, x_poly(31))
+    with pytest.raises(ValueError, match="joint cell space m\\^k is too large"):
+        joint_histogram([C, C], ScanSpec(0, 5, 3), 1025)  # 1025^2 > 2^20
 
 
 # ---------------------------------------------------------------- restricted rectangles
@@ -646,6 +649,60 @@ def test_rect_delta_matches_per_x_count_of_y(monkeypatch):
         assert delta.dtype == np.int8 and delta.tolist() == want
         assert not delta.flags.writeable
         assert delta_array(C, rect).tolist() == want[rect.x_lo : rect.x_hi + 1]
+
+
+def _rect_delta_by_bincount(C, rect):
+    """The rectangle membership from whole-interval arrays: every y's
+    power, one int64 bincount over [0, p), read at P(x) for every x."""
+    p = C.p
+    ys = np.arange(rect.y_lo, rect.y_hi + 1, dtype=np.int64)
+    mult = np.bincount(pow_mod_vec(ys, C.ell, p), minlength=p)
+    fibers = mult[C.P.eval_vec(np.arange(rect.x_lo, rect.x_hi + 1, dtype=np.int64))]
+    delta = np.zeros(p, dtype=np.int8)
+    delta[rect.x_lo : rect.x_hi + 1] = np.minimum(fibers, 1)
+    bad = np.flatnonzero(fibers >= 2)
+    return delta, rect.x_lo + int(bad[0]) if bad.size else None
+
+
+@pytest.mark.parametrize("p, ell", [(1009, 2), (1009, 3), (1009, 4), (1013, 3)])
+def test_rect_delta_tiles_match_the_bincount(monkeypatch, p, ell):
+    # y-tiles of 7 from y_lo = 2: some value's roots share a tile (504 and
+    # 505 at ell = 2) and others fall in different tiles; d = 1 at (1013, 3)
+    monkeypatch.setattr(curvewin, "_SCAN_CHUNK", 7)
+    C = curve(_field(p), ell, poly([5, 1, 0, 1], p))
+    rect = Rect(3, p - 2, 2, p - 1)
+    tiles = {}
+    for y in range(rect.y_lo, rect.y_hi + 1):
+        tiles.setdefault(pow(y, ell, p), []).append((y - rect.y_lo) // 7)
+    shared = [len(set(t)) < len(t) for t in tiles.values()]
+    assert (any(shared) and not all(shared)) == (C.chi.d > 1)
+    for r in (rect, Rect(3, p - 2, 2, 300), Rect(0, 0, 0, 0)):
+        delta, witness = curvewin._rect_delta(C, r)
+        want, want_witness = _rect_delta_by_bincount(C, r)
+        assert np.array_equal(delta, want) and witness == want_witness
+
+
+def test_rect_delta_counts_past_a_byte():
+    # every nonzero y in F_257 has y^256 = 1: 256 roots of one value, which
+    # wrap to 0 in a uint8 count, so the count table is uint16 here
+    p = 257
+    C = curve(_field(p), 256, x_poly(p))
+    assert C.chi.d == 256
+    delta, witness = curvewin._rect_delta(C, Rect(0, p - 1, 1, 256))
+    assert witness == 1 and np.flatnonzero(delta).tolist() == [1]
+    want, want_witness = _rect_delta_by_bincount(C, Rect(0, p - 1, 1, 256))
+    assert np.array_equal(delta, want) and witness == want_witness
+
+
+def test_rect_validate_names_the_bad_interval():
+    with pytest.raises(ValueError, match="x interval must be nonempty"):
+        Rect(5, 4, 1, 2).validate(7)
+    with pytest.raises(ValueError, match="x interval must be nonempty"):
+        Rect(0, 7, 1, 2).validate(7)
+    with pytest.raises(ValueError, match="y interval must be nonempty"):
+        Rect(0, 6, 3, 2).validate(7)
+    with pytest.raises(ValueError, match="y interval must be nonempty"):
+        Rect(0, 6, -1, 2).validate(7)
 
 
 def test_restricted_example_f7():

@@ -268,14 +268,17 @@ def test_char_indices_agrees_with_table_and_scalar():
 
 
 @pytest.mark.parametrize("p, ell", [
-    (3, 2), (5, 4),  # d = p - 1
-    (40009, 2),  # blocks of 16384 and a short tail block of 7240
-    (40009, 3), (40009, 4),  # d = 3 and 4 above 16384: blocks of 16383 and 16384
-    (40009, 5),  # d = 1: the whole group is the coset the walk skips
-    (40009, 40008),  # d > 16384: blocks are no multiple of d, every column is written
+    (3, 2), (5, 4),  # d = p - 1: H = {1}, and at p = 3 no coset is walked
+    (40009, 2),  # H in one block of 16384 and a tail of 3620
+    (40009, 3), (40009, 4),  # one H block, and one or two cosets walked
+    (100003, 3),  # H in three blocks, the last of 566
+    (65557, 4),  # (p - 1)/d = 16389: two H blocks, the last of 5
+    (65537, 256),  # int32 table; H of 256, the 254 cosets 64 to a pass
+    (40009, 5),  # d = 1: the whole group is the coset no walk writes
+    (40009, 40008),  # d > 16384: H = {1}, the cosets 16384 to a pass
 ])
 def test_char_index_table_matches_oracles(p, ell):
-    # the walk leaves the coset g^j, j = d - 1 mod d, at the fill value;
+    # the walk leaves the coset g^(d - 1) H at the fill value;
     # character() builds no table, and the first read of chi.table does
     character.cache_clear()
     chi = character(FieldSpec.from_prime(p), ell)
@@ -295,6 +298,15 @@ def test_char_index_table_matches_oracles(p, ell):
     for x in probes:
         j = char_index(chi, x)
         assert table[x] == (-1 if j is None else j)
+
+
+def test_char_index_table_walks_nothing_at_d_1(monkeypatch):
+    # all of F_p^* is the fill value's coset, so no power is computed
+    monkeypatch.setattr(ffield, "_power_blocks", lambda *args: pytest.fail("block walked"))
+    chi = ffield.character(FieldSpec.from_prime(40009), 5)
+    assert chi.d == 1
+    want = ffield._char_indices_pow(chi, np.arange(40009, dtype=np.int64))
+    assert np.array_equal(char_index_table(chi), want)
 
 
 def _int_edges(p: int) -> list[np.ndarray]:
