@@ -25,7 +25,7 @@ import numpy as np
 from .errors import HypothesisError
 from .curvewin import Curve, Rect, _enforce, _rect_delta, _star_check, _tiles
 from .ffield import Character, char_indices
-from .polyff import Poly, admissible, multiplicatively_independent, squarefree_decomposition
+from .polyff import Poly, admissible, multiplicatively_independent, squarefree_decomposition, x_poly
 
 __all__ = [
     "CharSumTally",
@@ -304,7 +304,8 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
 
     Probes leaving the x-interval contribute delta = 0; positions with
     at least one such probe are tallied in boundary_miss rather than
-    bounded a priori.  The positions are walked in tiles (_tiles).
+    bounded a priori.  The positions are walked in tiles (_tiles), and
+    each probe is read as (x + h) mod p in the tile's buffers.
     """
     p = C.p
     rect.validate(p)
@@ -315,12 +316,11 @@ def shifted_census(C: Curve, rect: Rect, offsets, stride: int) -> ShiftedCensusR
     _enforce([_star_check(witness)])
     xs = range(-(-rect.x_lo // stride) * stride, rect.x_hi + 1, stride)
     count = boundary_miss = 0
-    for s, n, _ in _tiles(len(xs)):
-        tile = np.arange(xs[s], xs[s + n - 1] + 1, stride, dtype=np.int64)
+    for s, n, buffers in _tiles(len(xs)):
         prod = np.ones(n, dtype=bool)
         miss = np.zeros(n, dtype=bool)
         for h in offs:
-            pos = (tile + h) % p
+            pos = buffers.values(x_poly(p), xs[s] + h, n, stride)
             miss |= (pos < rect.x_lo) | (pos > rect.x_hi)
             prod &= delta[pos] == 1
         count += int(prod.sum())

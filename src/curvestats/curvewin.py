@@ -447,7 +447,7 @@ def _rect_delta(C: Curve, rect: Rect) -> tuple[np.ndarray, int | None]:
     mult = np.zeros(p, dtype=np.min_scalar_type(C.chi.d))
     one = mult.dtype.type(1)  # a Python-int 1 leaves np.add.at's fast path
     for s, n, buffers in _tiles(rect.y_size):
-        np.add.at(mult, pow_mod_vec(buffers.iota[:n] + (rect.y_lo + s), C.ell, p), one)
+        np.add.at(mult, pow_mod_vec(buffers.values(x_poly(p), rect.y_lo + s, n), C.ell, p), one)
     delta = np.zeros(p, dtype=np.int8)
     witness = None
     for s, n, buffers in _tiles(rect.x_size):

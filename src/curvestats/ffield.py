@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,26 @@ def floor_mod(
     return np.subtract(a, q, out=out)
 
 
+def _integers(xs: np.ndarray) -> np.ndarray:
+    """xs as an array, refused with a TypeError unless its dtype is an
+    integer one, or object with integer elements (operator.index)."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind == "O":
+        for x in xs.flat:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise TypeError(f"field elements must be integers, not {x!r}") from None
+    elif xs.dtype.kind not in "iu":
+        raise TypeError(f"field elements must be integers, not dtype {xs.dtype}")
+    return xs
+
+
 def _residues(xs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """xs mod p as int64 of xs's shape, and a bound on its entries: xs
     itself and its maximum when it is int64 in [0, p) (narrower integer
-    dtypes are widened first), else floor_mod of it and p - 1."""
-    xs = np.asarray(xs)
+    dtypes are widened first), else floor_mod of it and p - 1.  xs is
+    an integer array, as _integers passes it."""
     if xs.dtype.kind in "iu" and xs.dtype.itemsize < 8:
         # numpy >= 2 will not take a p above the dtype's range as a scalar
         xs = xs.astype(np.int64)
@@ -113,14 +129,15 @@ def pow_mod_vec(xs: np.ndarray, exp: int, p: int) -> np.ndarray:
 
     Uses int64 square-and-multiply on _residues(xs, p) when products cannot
     overflow (p <= 3_037_000_499); larger moduli fall back to scalar pow.
+    Either way, input that is not integer is refused (_integers).
     """
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
     if p < 2:
         raise ValueError("modulus must be at least 2")
-    xs = np.asarray(xs)
+    xs = _integers(xs)
     if p > _INT64_MOD_LIMIT:
-        flat = [pow(int(x), exp, p) for x in xs.ravel()]
+        flat = [pow(operator.index(x), exp, p) for x in xs.ravel()]
         return np.array(flat, dtype=object).reshape(xs.shape)
     base, _ = _residues(xs, p)
     if base is xs:

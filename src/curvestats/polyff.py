@@ -18,12 +18,13 @@ paper's theorems.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .ffield import _INT64_MOD_LIMIT, _residues, factorize, floor_mod, is_prime
+from .ffield import _INT64_MOD_LIMIT, _integers, _residues, factorize, floor_mod, is_prime
 
 __all__ = [
     "Poly",
@@ -87,12 +88,13 @@ class Poly:
         fewer reductions.  On the int64 path, out (the accumulator and
         result) and q (the quotients of the reductions) are int64 arrays
         of xs's shape that a caller may reuse across calls; each is
-        allocated when not given.  xs is never written.
+        allocated when not given.  xs is never written, and input that
+        is not integer is refused (ffield._integers).
         """
-        xs = np.asarray(xs)
+        xs = _integers(xs)
         p = self.p
         if p > _INT64_MOD_LIMIT:
-            flat = [self(int(x)) for x in xs.ravel()]
+            flat = [self(operator.index(x)) for x in xs.ravel()]
             return np.array(flat, dtype=object).reshape(xs.shape)
         x, top = _residues(xs, p)
         acc = np.empty_like(x) if out is None else out

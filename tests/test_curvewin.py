@@ -694,6 +694,37 @@ def test_rect_delta_counts_past_a_byte():
     assert np.array_equal(delta, want) and witness == want_witness
 
 
+def test_add_at_scatters_values_of_the_targets_dtype(monkeypatch):
+    # np.add.at leaves its fast path when the value's dtype is not the
+    # target's: 65536 Python-int ones into a uint8 count took 5.2 ms at
+    # p = 10000019, against 0.27 ms with np.uint8(1)
+    scattered = []
+
+    class CheckedAdd:
+        def __call__(self, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        def at(self, target, index, value):
+            dtype = np.asarray(value).dtype
+            assert dtype == target.dtype, f"{dtype} into {target.dtype}"
+            scattered.append(target.dtype)
+            np.add.at(target, index, value)
+
+    class CheckedNumpy:
+        add = CheckedAdd()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for module in (curvewin, ffield):
+        monkeypatch.setattr(module, "np", CheckedNumpy())
+    p = 10007
+    C = curve(_field(p), 2, x_poly(p))
+    ffield.power_bitmap(C.chi)
+    curvewin._rect_delta(C, Rect(0, p - 1, 1, p // 2))
+    assert set(scattered) == {np.dtype(np.uint8)} and len(scattered) >= 2
+
+
 def test_rect_validate_names_the_bad_interval():
     with pytest.raises(ValueError, match="x interval must be nonempty"):
         Rect(5, 4, 1, 2).validate(7)

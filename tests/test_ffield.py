@@ -474,6 +474,31 @@ def test_every_entry_point_reduces_the_same_way(p):
         assert xs.dtype == before.dtype and np.array_equal(xs, before)
 
 
+@pytest.mark.parametrize("p", [101, 3037000507])
+def test_every_entry_point_refuses_non_integers(p):
+    # fractions were once truncated on the way into F_p (2.7 read as 2);
+    # 3037000507 is the first prime past the int64 path, where the object
+    # path reads each element by operator.index
+    fs = FieldSpec.from_prime(p)
+    chis = [character(fs, ell) for ell in (2, 4)]
+    P = poly([1, 1], p)
+    bad = {
+        "float64": np.array([2.7]),
+        "complex128": np.array([2 + 0j]),
+        "bool": np.array([True, False]),
+        "2.5": np.array([3, 2.5], dtype=object),
+    }
+    for name, xs in bad.items():
+        runs = [lambda: pow_mod_vec(xs, 2, p), lambda: P.eval_vec(xs)]
+        runs += [lambda chi=chi: char_indices(chi, xs) for chi in chis]
+        for run in runs:
+            with pytest.raises(TypeError, match=f"must be integers, not (dtype )?{name}"):
+                run()
+    ints = np.array([3, 2**70 + 1, np.int64(-1)], dtype=object)
+    assert pow_mod_vec(ints, 2, p).tolist() == [pow(int(x), 2, p) for x in ints]
+    assert P.eval_vec(ints).tolist() == [P(int(x)) for x in ints]
+
+
 @pytest.mark.parametrize("p", [3, 10007, 10000019, 3037000493, ffield._INT64_MOD_LIMIT])
 def test_floor_mod_matches_np_mod(p):
     top = 2**63 - 1
